@@ -22,12 +22,15 @@
 //! global top-k can ever be pruned. The router re-verifies the claim at
 //! runtime instead of trusting it: `et_mismatches` counts (a) pruned
 //! evaluations whose recorded true distance was below the threshold in
-//! force, (b) pruned evaluations whose id nevertheless appears in the
-//! final merged top-k, and (c) any divergence between the merged result
-//! over visited shards and the reference merge over *all* shards.
+//! force, (b) pruned base-layer or list-scan evaluations whose id
+//! nevertheless appears in the final merged top-k, and (c) any
+//! divergence between the merged result over visited shards and the
+//! reference merge over *all* shards. Check (b) skips upper-layer hops:
+//! their greedy ef = 1 threshold does not bound the final top-k, so the
+//! base layer may legitimately accept an id an upper layer pruned.
 
 use ansmet_core::{EtEngine, EtScratch};
-use ansmet_index::Neighbor;
+use ansmet_index::{HopKind, Neighbor};
 use ansmet_obs::{EventKind, TraceSink};
 use ansmet_serve::FALLBACK_CYCLES_PER_LINE;
 use ansmet_sim::EventWheel;
@@ -380,7 +383,9 @@ impl<'a> Router<'a> {
                         out.ndp_lines_independent += independent;
                         if cost.pruned {
                             out.pruned_evals += 1;
-                            pruned_ids.push(shard.global_id(eval.id));
+                            if matches!(hop.kind, HopKind::BaseLayer | HopKind::ListScan) {
+                                pruned_ids.push(shard.global_id(eval.id));
+                            }
                             // Soundness (a): a pruned comparison's true
                             // distance must be at or above the
                             // threshold that was in force.
@@ -418,7 +423,8 @@ impl<'a> Router<'a> {
         if merged != merge_partials(k, &all_partials) {
             out.et_mismatches += 1;
         }
-        // Soundness (b): a pruned comparison must never be a member of
+        // Soundness (b): a comparison pruned under a top-k-bounding
+        // threshold (base layer / list scan) must never be a member of
         // the final global top-k.
         for n in &merged {
             if pruned_ids.contains(&n.id) {
@@ -564,6 +570,19 @@ mod tests {
                 (0..set.len()).map(|s| set.shard_partial(s, qi)).collect();
             assert_eq!(*m, merge_partials(set.k, &all));
         }
+    }
+
+    #[test]
+    fn upper_layer_prunes_do_not_count_against_the_final_top_k() {
+        // DEEP 1000, seed 1, two k-means shards: upper-layer hops prune
+        // ids under their greedy ef = 1 threshold that the base layer
+        // later accepts into the top-k. That is sound, so check (b) must
+        // not count it.
+        let (data, queries) = SynthSpec::deep().scaled(1000, 16).with_seed(1).generate();
+        let set = ShardSet::build(&data, &queries, 10, 40, 2, RoutingPolicy::KMeans, 1);
+        let (stats, _) = route_all(&set, &mut ClusterFleet::healthy(2));
+        assert!(stats.pruned_evals > 0, "the bound must engage");
+        assert_eq!(stats.et_mismatches, 0);
     }
 
     #[test]

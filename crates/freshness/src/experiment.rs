@@ -4,8 +4,8 @@
 //!
 //! The run streams a held-out 20 % of the dataset into a live HNSW index
 //! while deletes tombstone seeded victims, with reads and updates
-//! contending through the shared WFQ admission path and epochs firing on
-//! the event wheel. After the churn drains:
+//! contending through the serving kernel's WFQ admission and epochs
+//! pausing the device. After the churn drains:
 //!
 //! * **Recall under churn** — exact-oracle recall of the mutated index
 //!   against brute-force ground truth over its live set, compared with a

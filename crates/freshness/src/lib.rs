@@ -25,9 +25,9 @@
 //! * [`snapshot`] — a checksummed, versioned binary snapshot of index +
 //!   layout plan + epoch metadata, with torn-write detection and
 //!   recovery-on-load from a fallback snapshot.
-//! * [`serving`] — a mixed read/write serving loop: seeded update
-//!   tenants share the WFQ admission machinery with query tenants,
-//!   epochs fire on the event wheel, and every read is served through
+//! * [`serving`] — mixed read/write serving on the serving kernel:
+//!   seeded update tenants share WFQ admission with query tenants,
+//!   epochs are the kernel's pauses, and every read is served through
 //!   both the ET and the exact oracle to prove losslessness in flight.
 //! * [`experiment`] — the `freshness` experiment driver emitting
 //!   `BENCH_freshness.json`.

@@ -1,33 +1,24 @@
-//! The online serving engine: admission control, weighted-fair queueing,
-//! dynamic batch formation, and simulated execution on the NDP device.
-//!
-//! The engine advances a single simulated clock (memory cycles). Queries
-//! arrive open-loop from [`generate_arrivals`](crate::arrival::generate_arrivals);
-//! an admission controller sheds on queue-depth backpressure and expired
-//! deadlines; a weighted-fair queue picks which admitted queries join the
-//! next batch; a dynamic batch former dispatches when the batch fills,
-//! the oldest query has lingered long enough, or no more arrivals are
-//! coming; and each dispatched batch executes through the wave model
+//! The serving plane: configuration, and the [`kernel`] backend that
+//! executes each dispatched batch through the wave model
 //! ([`WaveContext`]) of the cycle-level simulator.
 //!
-//! Determinism: the loop is strictly event-ordered, every tie is broken
-//! by `(tag, tenant, seq)`, batches execute on fresh device state, and
-//! the recorded latencies feed integer histograms — so one seed and one
-//! config produce one bit-identical report, independent of host thread
-//! count or run-to-run jitter (enforced by `tests/serving.rs`).
-
-use std::collections::VecDeque;
+//! The backend adds fault recovery (the legacy per-query model or the
+//! fleet path), brownout-shifted admission limits and deadlines, and
+//! scheduled maintenance pauses. Batches execute on fresh device state
+//! and latencies feed integer histograms, so one seed and one config
+//! produce one bit-identical report, independent of host thread count or
+//! run-to-run jitter (enforced by `tests/serving.rs`).
 
 use ansmet_faults::{ComputeFault, FaultInjector, FaultKind, FaultPlan, FaultRates, StormPlan};
 use ansmet_host::RetryPolicy;
 use ansmet_index::HopKind;
 use ansmet_ndp::{Partitioner, ResultPayload};
-use ansmet_obs::{EventKind, NoopSink, Phase, TraceSink};
-use ansmet_sim::{Design, EventWheel, RecoveryReport, SystemConfig, WaveContext, Workload};
+use ansmet_obs::{EventKind, LatencyHistogram, NoopSink, TraceSink};
+use ansmet_sim::{Design, RecoveryReport, SystemConfig, WaveContext, Workload};
 
 use crate::arrival::{generate_arrivals, Arrival, TenantSpec};
-use crate::histogram::LatencyHistogram;
-use crate::report::{ServeReport, TenantReport};
+use crate::kernel::{self, Completion, Executed, ItemCycles, PlaneMetrics};
+use crate::report::{qps_over, PercentileSummary, ServeReport, TenantReport};
 use crate::resilience::{FleetState, ResilienceConfig, StormProfile, WindowStats};
 
 /// Dynamic batch-formation policy.
@@ -189,11 +180,6 @@ impl ServeConfig {
     }
 }
 
-/// Serve-clock timer tokens (agents on the shared [`EventWheel`]).
-const WAKE_ARRIVAL: u32 = 0;
-const WAKE_DEVICE_FREE: u32 = 1;
-const WAKE_LINGER: u32 = 2;
-
 /// Cycles one abandoned poll window costs when a batch times out
 /// (mirrors the degraded-mode runner's deadline scale). Shared with the
 /// cluster plane's shard-failover cost model.
@@ -204,25 +190,6 @@ pub const POLL_MISS_PENALTY_CYCLES: u64 = 240;
 /// Cycles per 64 B line for the host's exact-fallback recompute
 /// (matches `ansmet_sim::degraded`).
 pub const FALLBACK_CYCLES_PER_LINE: u64 = 60;
-
-/// A query waiting in its tenant's queue.
-#[derive(Debug, Clone, Copy)]
-struct Queued {
-    arrival: Arrival,
-    /// WFQ finish tag; dispatch order is ascending `(tag, tenant, seq)`.
-    tag: u64,
-}
-
-/// Per-tenant running tallies.
-#[derive(Debug, Default, Clone)]
-struct TenantTally {
-    offered: u64,
-    shed_queue: u64,
-    shed_deadline: u64,
-    completed: u64,
-    slo_attained: u64,
-    total: LatencyHistogram,
-}
 
 /// FNV-1a over the served queries' neighbor ids, in arrival order.
 ///
@@ -239,24 +206,30 @@ fn results_fingerprint(served: &[Option<usize>], workload: &Workload) -> u64 {
     h.finish()
 }
 
-/// Recovery-penalty cycles for one query's comparisons under injected
-/// faults, charged on top of its fault-free execution time.
+/// The legacy per-query fault-recovery model: an injector, the host's
+/// retry policy, and the counters it fills.
+struct PerQueryRecovery {
+    injector: FaultInjector,
+    retry: RetryPolicy,
+    rec: RecoveryReport,
+}
+
+/// Recovery-penalty cycles for one query's comparisons under the legacy
+/// model, dispatched at `at` and charged on top of its fault-free
+/// execution time.
 ///
 /// The model mirrors the degraded-mode runner's protocol per offload:
 /// drop/hang ⇒ an abandoned poll window; stall ⇒ the stall itself;
 /// corrupt/lost payload ⇒ a CRC rejection; each failure retries under
 /// the [`RetryPolicy`]'s backoff until the host computes the distance
-/// itself. Counters land in the shared [`RecoveryReport`].
-#[allow(clippy::too_many_arguments)]
+/// itself.
 fn recovery_penalty<S: TraceSink>(
-    injector: &mut FaultInjector,
-    retry: &RetryPolicy,
+    r: &mut PerQueryRecovery,
     workload: &Workload,
     query: usize,
     partitioner: &Partitioner,
-    rec: &mut RecoveryReport,
-    sink: &mut S,
     at: u64,
+    sink: &mut S,
 ) -> u64 {
     let natural_lines = workload.data.vector_lines() as u64;
     let mut penalty = 0u64;
@@ -265,34 +238,34 @@ fn recovery_penalty<S: TraceSink>(
             continue; // host-side arithmetic; no offload to fault
         }
         for e in &hop.evals {
-            rec.comparisons += 1;
+            r.rec.comparisons += 1;
             let lead = partitioner.group_of(e.id) * partitioner.group_size();
             let mut attempt = 0u32;
             loop {
-                rec.offloads += 1;
+                r.rec.offloads += 1;
                 let mut failed = false;
-                if injector.drop_instruction(lead) {
+                if r.injector.drop_instruction(lead) {
                     failed = true;
                 } else {
-                    match injector.compute_fault(lead) {
+                    match r.injector.compute_fault(lead) {
                         ComputeFault::None => {}
                         ComputeFault::Stall(extra) => penalty += extra,
                         ComputeFault::Hang => failed = true,
                     }
                 }
                 if failed {
-                    rec.timeouts += 1;
+                    r.rec.timeouts += 1;
                     penalty += TIMEOUT_PENALTY_CYCLES;
                 } else {
                     let mut p = ResultPayload::encode(&[0.0]);
-                    match injector.poll_fault(lead, &mut p) {
+                    match r.injector.poll_fault(lead, &mut p) {
                         Some(FaultKind::CorruptResult { .. }) | Some(FaultKind::LostResult) => {
-                            rec.crc_rejections += 1;
+                            r.rec.crc_rejections += 1;
                             sink.event(at + penalty, EventKind::CrcRejected { rank: lead as u32 });
                             failed = true;
                         }
                         Some(FaultKind::PollMiss) => {
-                            rec.poll_misses += 1;
+                            r.rec.poll_misses += 1;
                             penalty += POLL_MISS_PENALTY_CYCLES;
                         }
                         _ => {}
@@ -301,8 +274,8 @@ fn recovery_penalty<S: TraceSink>(
                 if !failed {
                     break;
                 }
-                if retry.exhausted(attempt) {
-                    rec.host_fallbacks += 1;
+                if r.retry.exhausted(attempt) {
+                    r.rec.host_fallbacks += 1;
                     penalty += natural_lines * FALLBACK_CYCLES_PER_LINE;
                     sink.event(
                         at + penalty,
@@ -313,8 +286,8 @@ fn recovery_penalty<S: TraceSink>(
                     );
                     break;
                 }
-                penalty += retry.backoff(attempt);
-                rec.retries += 1;
+                penalty += r.retry.backoff(attempt);
+                r.rec.retries += 1;
                 sink.event(
                     at + penalty,
                     EventKind::RecoveryRetry {
@@ -359,7 +332,6 @@ pub fn run_serve_with_sink<S: TraceSink>(
     serve: &ServeConfig,
     sink: &mut S,
 ) -> ServeReport {
-    assert!(serve.batch.max_batch > 0, "zero batch size");
     assert!(!workload.queries.is_empty(), "empty workload");
     let mem_clock = config.dram.clock_mhz;
     let arrivals = generate_arrivals(
@@ -368,14 +340,12 @@ pub fn run_serve_with_sink<S: TraceSink>(
         serve.seed,
         mem_clock,
     );
-    let ctx = WaveContext::new(serve.design, workload, config);
     let partitioner = Partitioner::new(
         config.partition,
         config.ndp_units(),
         workload.data.dim(),
         workload.data.dtype().bytes(),
     );
-
     let make_injector = |f: &FaultProfile| {
         let evals: u64 = workload
             .traces
@@ -394,7 +364,7 @@ pub fn run_serve_with_sink<S: TraceSink>(
     // The fleet path (storm and/or resilience layer) supersedes the
     // legacy per-query recovery model; configs with only `faults` keep
     // the original model bit-for-bit.
-    let mut fleet = if serve.storm.is_some() || serve.resilience.is_some() {
+    let recovery = if serve.storm.is_some() || serve.resilience.is_some() {
         let retry = serve
             .storm
             .as_ref()
@@ -406,202 +376,228 @@ pub fn run_serve_with_sink<S: TraceSink>(
             .as_ref()
             .map(|s| s.plan.clone())
             .unwrap_or_else(StormPlan::none);
-        Some(FleetState::new(
+        Recovery::Fleet(Box::new(FleetState::new(
             workload,
             &partitioner,
             serve.faults.as_ref().map(make_injector),
             retry,
             plan,
             serve.resilience,
-        ))
+        )))
     } else {
-        None
+        match &serve.faults {
+            Some(f) => Recovery::PerQuery(Box::new(PerQueryRecovery {
+                injector: make_injector(f),
+                retry: f.retry,
+                rec: RecoveryReport::default(),
+            })),
+            None => Recovery::Clean,
+        }
     };
-    let mut fault_state = if fleet.is_some() {
-        None
-    } else {
-        serve
-            .faults
-            .as_ref()
-            .map(|f| (make_injector(f), f.retry, RecoveryReport::default()))
+
+    let mut backend = ServeBackend {
+        serve,
+        workload,
+        ctx: WaveContext::new(serve.design, workload, config),
+        partitioner,
+        recovery,
+        top_weight: serve.tenants.iter().map(|t| t.weight).max().unwrap_or(1),
+        brownout: 0,
+        storm_span: serve.storm.as_ref().and_then(|s| s.plan.span()),
+        tenants: serve
+            .tenants
+            .iter()
+            .map(|spec| TenantReport {
+                name: spec.name.clone(),
+                weight: spec.weight,
+                slo_cycles: spec.slo_cycles,
+                ..TenantReport::default()
+            })
+            .collect(),
+        tenant_hists: vec![LatencyHistogram::new(); serve.tenants.len()],
+        windows: Default::default(),
+        window_hists: Default::default(),
+        hists: Default::default(),
+        served: vec![None; arrivals.len()],
+        batches: 0,
+        batched_queries: 0,
+        makespan: 0,
+        next_maintenance: serve.maintenance.map(|p| p.interval_cycles),
+        maintenance_epoch: 0,
     };
-    let storm_span = serve.storm.as_ref().and_then(|s| s.plan.span());
-    let window_of = |cycle: u64| -> usize {
-        match storm_span {
+    let weights: Vec<u64> = serve.tenants.iter().map(|t| t.weight).collect();
+    kernel::run(&arrivals, &weights, serve.batch, &mut backend, sink);
+    backend.finish(&arrivals, mem_clock, sink)
+}
+
+/// How a run pays for injected faults.
+enum Recovery {
+    /// No faults: every query completes at its wave retirement.
+    Clean,
+    /// The legacy per-query model ([`recovery_penalty`]).
+    PerQuery(Box<PerQueryRecovery>),
+    /// The fleet path: storm script, breakers, hedging, brownout.
+    Fleet(Box<FleetState>),
+}
+
+/// The serving plane as a [`kernel::Backend`]: wave execution with
+/// fault recovery, brownout-shifted admission, and maintenance pauses.
+struct ServeBackend<'a> {
+    serve: &'a ServeConfig,
+    workload: &'a Workload,
+    ctx: WaveContext<'a>,
+    partitioner: Partitioner,
+    recovery: Recovery,
+    top_weight: u64,
+    /// Brownout level for the current scheduling round.
+    brownout: u32,
+    storm_span: Option<(u64, u64)>,
+    /// Per-tenant counts; latency summaries are filled in at the end.
+    tenants: Vec<TenantReport>,
+    tenant_hists: Vec<LatencyHistogram>,
+    /// Before / during / after the storm.
+    windows: [WindowStats; 3],
+    window_hists: [LatencyHistogram; 3],
+    /// Queue, execute, and total latency.
+    hists: [LatencyHistogram; 3],
+    /// Query served per arrival index (`None` if shed).
+    served: Vec<Option<usize>>,
+    batches: u64,
+    batched_queries: u64,
+    makespan: u64,
+    next_maintenance: Option<u64>,
+    maintenance_epoch: u32,
+}
+
+impl ServeBackend<'_> {
+    /// Brownout tightens admission by this many halvings for `tenant`;
+    /// high-priority (top-weight) tenants are shifted half as hard.
+    fn shift(&self, tenant: usize) -> u32 {
+        if self.serve.tenants[tenant].weight >= self.top_weight {
+            self.brownout / 2
+        } else {
+            self.brownout
+        }
+    }
+
+    /// Storm phase of `cycle`: 0 before, 1 during, 2 after.
+    fn window_of(&self, cycle: u64) -> usize {
+        match self.storm_span {
             Some((start, _)) if cycle < start => 0,
             Some((_, end)) if cycle < end => 1,
             _ => 2,
         }
+    }
+
+    /// Close the run: emit the totals and assemble the report.
+    fn finish<S: TraceSink>(
+        mut self,
+        arrivals: &[Arrival],
+        mem_clock_mhz: u64,
+        sink: &mut S,
+    ) -> ServeReport {
+        for a in arrivals {
+            self.tenants[a.tenant].offered += 1;
+            self.windows[self.window_of(a.cycle)].offered += 1;
+        }
+        let makespan_cycles = self.makespan;
+        for (t, h) in self.tenants.iter_mut().zip(&self.tenant_hists) {
+            t.achieved_qps = qps_over(t.completed, makespan_cycles, mem_clock_mhz);
+            t.total = PercentileSummary::from_histogram(h);
+        }
+        let sum = |f: fn(&TenantReport) -> u64| self.tenants.iter().map(f).sum();
+        sink.counter("serve.batches", self.batches);
+        sink.counter("serve.batched_queries", self.batched_queries);
+        sink.counter("serve.shed_queue", sum(|t| t.shed_queue));
+        sink.counter("serve.shed_deadline", sum(|t| t.shed_deadline));
+        sink.counter("serve.completed", sum(|t| t.completed));
+        sink.gauge_max("serve.makespan_cycles", makespan_cycles);
+
+        let (recovery, resilience) = match self.recovery {
+            Recovery::Clean => (None, None),
+            Recovery::PerQuery(mut r) => {
+                r.rec.injected = *r.injector.stats();
+                (Some(r.rec), None)
+            }
+            Recovery::Fleet(fl) => {
+                let windows = self.storm_span.map(|(start, end)| {
+                    for (stats, h) in self.windows.iter_mut().zip(&self.window_hists) {
+                        stats.p99_cycles = h.quantile(0.99);
+                    }
+                    let [before, during, after] = self.windows;
+                    (start, end, before, during, after)
+                });
+                let resilience = fl.resilience_report(windows);
+                (Some(fl.recovery_report()), Some(resilience))
+            }
+        };
+        let [queue, execute, total] = self.hists.each_ref().map(PercentileSummary::from_histogram);
+        ServeReport {
+            design: self.serve.design,
+            seed: self.serve.seed,
+            mem_clock_mhz,
+            makespan_cycles,
+            batches: self.batches,
+            batched_queries: self.batched_queries,
+            queue,
+            execute,
+            total,
+            results_fingerprint: results_fingerprint(&self.served, self.workload),
+            tenants: self.tenants,
+            recovery,
+            resilience,
+        }
+    }
+}
+
+impl kernel::Backend for ServeBackend<'_> {
+    const METRICS: PlaneMetrics = PlaneMetrics {
+        queue_depth: "serve.queue_depth",
+        queue_cycles: "serve.queue_cycles",
+        exec_cycles: "serve.exec_cycles",
+        total_cycles: "serve.total_cycles",
     };
-    let mut window_stats = [WindowStats::default(); 3];
-    let mut window_hists = [
-        LatencyHistogram::new(),
-        LatencyHistogram::new(),
-        LatencyHistogram::new(),
-    ];
-    let top_weight = serve.tenants.iter().map(|t| t.weight).max().unwrap_or(1);
 
-    // Per-tenant FIFO queues; WFQ tags assigned at admission.
-    let n_tenants = serve.tenants.len();
-    let mut queues: Vec<VecDeque<Queued>> = vec![VecDeque::new(); n_tenants];
-    let mut wfq = crate::wfq::WfqState::new(n_tenants);
-    let mut queued_total = 0usize;
-    let mut tallies: Vec<TenantTally> = vec![TenantTally::default(); n_tenants];
-
-    let mut queue_hist = LatencyHistogram::new();
-    let mut exec_hist = LatencyHistogram::new();
-    let mut total_hist = LatencyHistogram::new();
-    let mut served: Vec<Option<usize>> = vec![None; arrivals.len()];
-
-    let mut ev = 0usize; // next un-admitted arrival
-    let mut now = 0u64;
-    let mut device_free = 0u64;
-    let mut batches = 0u64;
-    let mut batched_queries = 0u64;
-    let mut makespan = 0u64;
-    // All serve-clock timers (next arrival, device-free, batch linger)
-    // register wakeups here; the loop advances by popping the earliest.
-    // Exactly one timer is armed per idle decision, so the pop returns
-    // the same cycle the pre-wheel code computed inline.
-    let mut timers = EventWheel::new(0);
-    let mut next_maintenance = serve.maintenance.map(|p| p.interval_cycles);
-    let mut maintenance_epoch = 0u32;
-
-    loop {
+    fn begin_round<S: TraceSink>(&mut self, now: u64, sink: &mut S) {
         // Brownout: detected capacity loss (open breakers) tightens
-        // admission before this round. High-priority (top-weight)
-        // tenants are shifted half as hard.
-        let brownout = match &mut fleet {
-            Some(fl) => fl.brownout_level(now, sink),
-            None => 0,
+        // admission before this round.
+        self.brownout = match &mut self.recovery {
+            Recovery::Fleet(fl) => fl.brownout_level(now, sink),
+            _ => 0,
         };
-        let shift_of = |weight: u64| -> u32 {
-            if weight >= top_weight {
-                brownout / 2
-            } else {
-                brownout
-            }
-        };
-        // Admit everything that has arrived by `now`.
-        while ev < arrivals.len() && arrivals[ev].cycle <= now {
-            let a = arrivals[ev];
-            let tally = &mut tallies[a.tenant];
-            tally.offered += 1;
-            window_stats[window_of(a.cycle)].offered += 1;
-            let depth_limit = (serve.admission.max_queue_depth
-                >> shift_of(serve.tenants[a.tenant].weight))
-            .max(1);
-            if queued_total >= depth_limit {
-                tally.shed_queue += 1;
-                sink.event(a.cycle, EventKind::Shed { deadline: false });
-                if brownout > 0 {
-                    if let Some(fl) = &mut fleet {
-                        fl.brownout_sheds += 1;
-                    }
-                }
-            } else {
-                let tag = wfq.admit_tag(a.tenant, serve.tenants[a.tenant].weight);
-                queues[a.tenant].push_back(Queued { arrival: a, tag });
-                queued_total += 1;
-            }
-            ev += 1;
-        }
-        if queued_total == 0 {
-            if ev >= arrivals.len() {
-                break;
-            }
-            timers.schedule(arrivals[ev].cycle.max(now), WAKE_ARRIVAL);
-            now = timers.pop_next().expect("arrival timer armed").cycle;
-            continue;
-        }
-        sink.sample(now, "serve.queue_depth", queued_total as u64);
-        if device_free > now {
-            // Queries arriving while the device is busy are admitted
-            // retroactively at their own arrival cycle, so the wakeup
-            // jumps straight to device-free.
-            timers.schedule(device_free, WAKE_DEVICE_FREE);
-            now = timers.pop_next().expect("device timer armed").cycle;
-            continue;
-        }
-        // Scheduled maintenance holds the idle device before the next
-        // batch forms (the pause fires at the first decision point at or
-        // after its due cycle).
-        if let (Some(plan), Some(due)) = (serve.maintenance, next_maintenance) {
-            if now >= due {
-                sink.event(
-                    now,
-                    EventKind::CompactionPause {
-                        epoch: maintenance_epoch,
-                        cycles: plan.pause_cycles.min(u32::MAX as u64) as u32,
-                    },
-                );
-                maintenance_epoch += 1;
-                device_free = now + plan.pause_cycles;
-                // The next pause is due one interval after this one
-                // *ends*, so serving always resumes between pauses even
-                // when the pause is longer than the interval.
-                next_maintenance = Some(device_free + plan.interval_cycles);
-                continue;
-            }
-        }
-        // Batch-formation decision.
-        let oldest = queues
-            .iter()
-            .filter_map(|q| q.front())
-            .map(|q| q.arrival.cycle)
-            .min()
-            .expect("non-empty queues");
-        let ready = queued_total >= serve.batch.max_batch
-            || ev >= arrivals.len()
-            || now >= oldest.saturating_add(serve.batch.max_linger_cycles);
-        if !ready {
-            let wake = arrivals[ev]
-                .cycle
-                .min(oldest.saturating_add(serve.batch.max_linger_cycles));
-            timers.schedule(wake.max(now + 1), WAKE_LINGER);
-            now = timers.pop_next().expect("linger timer armed").cycle;
-            continue;
-        }
+    }
 
-        // Pop up to max_batch queries in WFQ order, shedding expired
-        // deadlines as they surface.
-        let mut batch: Vec<Queued> = Vec::with_capacity(serve.batch.max_batch);
-        while batch.len() < serve.batch.max_batch {
-            let Some(t) = crate::wfq::WfqState::next_tenant(
-                queues
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(t, q)| q.front().map(|h| (t, h.tag))),
-            ) else {
-                break;
-            };
-            let q = queues[t].pop_front().expect("non-empty");
-            queued_total -= 1;
-            wfq.advance_to(q.tag);
-            if let Some(dl) = serve.admission.deadline_cycles {
-                let dl = (dl >> shift_of(serve.tenants[t].weight)).max(1);
-                if now > q.arrival.cycle.saturating_add(dl) {
-                    tallies[t].shed_deadline += 1;
-                    sink.event(now, EventKind::Shed { deadline: true });
-                    if brownout > 0 {
-                        if let Some(fl) = &mut fleet {
-                            fl.brownout_sheds += 1;
-                        }
-                    }
-                    continue;
-                }
-            }
-            batch.push(q);
-        }
-        if batch.is_empty() {
-            continue; // everything popped had expired
-        }
+    fn depth_limit(&self, tenant: usize) -> usize {
+        (self.serve.admission.max_queue_depth >> self.shift(tenant)).max(1)
+    }
 
+    fn deadline(&self, tenant: usize) -> Option<u64> {
+        self.serve
+            .admission
+            .deadline_cycles
+            .map(|dl| (dl >> self.shift(tenant)).max(1))
+    }
+
+    fn shed(&mut self, arrival: &Arrival, deadline: bool) {
+        let tenant = &mut self.tenants[arrival.tenant];
+        if deadline {
+            tenant.shed_deadline += 1;
+        } else {
+            tenant.shed_queue += 1;
+        }
+        if self.brownout > 0 {
+            if let Recovery::Fleet(fl) = &mut self.recovery {
+                fl.brownout_sheds += 1;
+            }
+        }
+    }
+
+    fn execute<S: TraceSink>(&mut self, batch: &[Arrival], now: u64, sink: &mut S) -> Executed {
         // Execute the batch on fresh device state.
-        let ids: Vec<usize> = batch.iter().map(|q| q.arrival.query).collect();
-        let exec = ctx.execute_with_sink(&ids, sink, now);
-        batches += 1;
-        batched_queries += batch.len() as u64;
+        let ids: Vec<usize> = batch.iter().map(|a| a.query).collect();
+        let exec = self.ctx.execute_with_sink(&ids, sink, now);
+        self.batches += 1;
+        self.batched_queries += batch.len() as u64;
         sink.event(
             now,
             EventKind::BatchFormed {
@@ -611,162 +607,78 @@ pub fn run_serve_with_sink<S: TraceSink>(
 
         // Fault-recovery penalties stretch individual completions and
         // hold the device (the wave's close waits for recovery).
-        let mut max_penalty = 0u64;
-        let penalties: Vec<u64> = if let Some(fl) = &mut fleet {
-            batch
-                .iter()
-                .map(|q| {
-                    let p = fl.query_penalty(workload, q.arrival.query, &partitioner, now, sink);
-                    max_penalty = max_penalty.max(p);
-                    p
-                })
-                .collect()
-        } else {
-            match &mut fault_state {
-                None => vec![0; batch.len()],
-                Some((injector, retry, rec)) => batch
-                    .iter()
-                    .map(|q| {
-                        let p = recovery_penalty(
-                            injector,
-                            retry,
-                            workload,
-                            q.arrival.query,
-                            &partitioner,
-                            rec,
-                            sink,
-                            now,
-                        );
-                        max_penalty = max_penalty.max(p);
-                        p
-                    })
-                    .collect(),
-            }
-        };
+        let (workload, partitioner) = (self.workload, &self.partitioner);
+        let penalties: Vec<u64> = batch
+            .iter()
+            .map(|a| match &mut self.recovery {
+                Recovery::Clean => 0,
+                Recovery::PerQuery(r) => {
+                    recovery_penalty(r, workload, a.query, partitioner, now, sink)
+                }
+                Recovery::Fleet(fl) => fl.query_penalty(workload, a.query, partitioner, now, sink),
+            })
+            .collect();
         let added: u64 = penalties.iter().sum();
-        if let Some(fl) = &mut fleet {
-            fl.rec.added_latency_cycles += added;
-        } else if let Some((_, _, rec)) = &mut fault_state {
-            rec.added_latency_cycles += added;
+        match &mut self.recovery {
+            Recovery::Clean => {}
+            Recovery::PerQuery(r) => r.rec.added_latency_cycles += added,
+            Recovery::Fleet(fl) => fl.rec.added_latency_cycles += added,
         }
-
-        for ((q, &retire), &penalty) in batch.iter().zip(&exec.per_query_cycles).zip(&penalties) {
-            let completion = now + retire + penalty;
-            let queue_cycles = now - q.arrival.cycle;
-            let exec_cycles = retire + penalty;
-            let total = completion - q.arrival.cycle;
-            queue_hist.record(queue_cycles);
-            exec_hist.record(exec_cycles);
-            total_hist.record(total);
-            sink.event(
-                completion,
-                EventKind::QueryComplete {
-                    query: q.arrival.query as u32,
-                    tenant: q.arrival.tenant as u32,
-                },
-            );
-            if queue_cycles > 0 {
-                sink.span(Phase::Queue, q.arrival.cycle, now);
-            }
-            if retire > 0 {
-                sink.span(Phase::Execute, now, now + retire);
-            }
-            if penalty > 0 {
-                sink.span(Phase::Recovery, now + retire, completion);
-            }
-            sink.record("serve.queue_cycles", queue_cycles);
-            sink.record("serve.exec_cycles", exec_cycles);
-            sink.record("serve.total_cycles", total);
-            let tally = &mut tallies[q.arrival.tenant];
-            tally.completed += 1;
-            tally.total.record(total);
-            let w = window_of(q.arrival.cycle);
-            window_stats[w].completed += 1;
-            window_hists[w].record(total);
-            if total <= serve.tenants[q.arrival.tenant].slo_cycles {
-                tally.slo_attained += 1;
-                window_stats[w].slo_attained += 1;
-            }
-            makespan = makespan.max(completion);
-            served[arrival_index(&arrivals, q.arrival)] = Some(q.arrival.query);
+        let max_penalty = penalties.iter().copied().max().unwrap_or(0);
+        Executed {
+            items: exec
+                .per_query_cycles
+                .iter()
+                .zip(&penalties)
+                .map(|(&retire, &penalty)| ItemCycles { retire, penalty })
+                .collect(),
+            hold: exec.total_cycles + max_penalty,
         }
-        device_free = now + exec.total_cycles + max_penalty;
     }
 
-    sink.counter("serve.batches", batches);
-    sink.counter("serve.batched_queries", batched_queries);
-    sink.counter(
-        "serve.shed_queue",
-        tallies.iter().map(|t| t.shed_queue).sum(),
-    );
-    sink.counter(
-        "serve.shed_deadline",
-        tallies.iter().map(|t| t.shed_deadline).sum(),
-    );
-    sink.counter("serve.completed", tallies.iter().map(|t| t.completed).sum());
-    sink.gauge_max("serve.makespan_cycles", makespan);
+    fn complete(&mut self, done: &Completion) {
+        let total = done.total_cycles();
+        for (h, v) in self
+            .hists
+            .iter_mut()
+            .zip([done.queue_cycles(), done.exec_cycles(), total])
+        {
+            h.record(v);
+        }
+        let (t, w) = (done.arrival.tenant, self.window_of(done.arrival.cycle));
+        self.tenants[t].completed += 1;
+        self.tenant_hists[t].record(total);
+        self.windows[w].completed += 1;
+        self.window_hists[w].record(total);
+        if total <= self.tenants[t].slo_cycles {
+            self.tenants[t].slo_attained += 1;
+            self.windows[w].slo_attained += 1;
+        }
+        self.makespan = self.makespan.max(done.at());
+        self.served[done.index] = Some(done.arrival.query);
+    }
 
-    let recovery = match &fleet {
-        Some(fl) => Some(fl.recovery_report()),
-        None => fault_state.map(|(injector, _, mut rec)| {
-            rec.injected = *injector.stats();
-            rec
-        }),
-    };
-    let resilience = fleet.map(|fl| {
-        fl.resilience_report(storm_span.map(|(start, end)| {
-            for (i, h) in window_hists.iter().enumerate() {
-                window_stats[i].p99_cycles = h.quantile(0.99);
-            }
-            (
-                start,
-                end,
-                window_stats[0],
-                window_stats[1],
-                window_stats[2],
-            )
-        }))
-    });
-    let fingerprint = results_fingerprint(&served, workload);
-    let tenants = serve
-        .tenants
-        .iter()
-        .zip(tallies)
-        .map(|(spec, t)| {
-            TenantReport::new(
-                spec,
-                t.offered,
-                t.shed_queue,
-                t.shed_deadline,
-                t.completed,
-                t.slo_attained,
-                &t.total,
-                makespan,
-                mem_clock,
-            )
-        })
-        .collect();
+    fn pause_due(&self) -> Option<u64> {
+        self.next_maintenance
+    }
 
-    ServeReport::new(
-        serve,
-        mem_clock,
-        makespan,
-        batches,
-        batched_queries,
-        &queue_hist,
-        &exec_hist,
-        &total_hist,
-        tenants,
-        recovery,
-        resilience,
-        fingerprint,
-    )
-}
-
-/// Position of `a` in the sorted arrival list (unique by
-/// `(cycle, tenant, seq)`).
-fn arrival_index(arrivals: &[Arrival], a: Arrival) -> usize {
-    arrivals
-        .binary_search_by_key(&(a.cycle, a.tenant, a.seq), |x| (x.cycle, x.tenant, x.seq))
-        .expect("arrival came from this list")
+    fn pause<S: TraceSink>(&mut self, now: u64, sink: &mut S) -> u64 {
+        let plan = self
+            .serve
+            .maintenance
+            .expect("a pause is due only under a plan");
+        sink.event(
+            now,
+            EventKind::CompactionPause {
+                epoch: self.maintenance_epoch,
+                cycles: plan.pause_cycles.min(u32::MAX as u64) as u32,
+            },
+        );
+        self.maintenance_epoch += 1;
+        // The next pause is due one interval after this one *ends*, so
+        // serving always resumes between pauses even when the pause is
+        // longer than the interval.
+        self.next_maintenance = Some(now + plan.pause_cycles + plan.interval_cycles);
+        plan.pause_cycles
+    }
 }

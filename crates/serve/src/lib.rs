@@ -9,13 +9,15 @@
 //!
 //! * [`arrival`] — open-loop load generation: seeded Poisson, bursty,
 //!   and trace-driven arrival processes over multi-tenant query streams.
-//! * [`engine`] — the serving loop: admission control (queue-depth
+//! * [`kernel`] — the one serving loop, shared with the freshness
+//!   plane's churn serving: admission control (queue-depth
 //!   backpressure, per-query deadlines, load shedding), weighted-fair
-//!   per-tenant queueing, and a dynamic batch former (max batch size /
-//!   max linger) feeding NDP wave batches through
-//!   [`ansmet_sim::WaveContext`].
-//! * [`histogram`] — log-bucketed HDR-style latency histograms with
-//!   bounded relative error and exact integer bucket math.
+//!   per-tenant queueing, a dynamic batch former (max batch size / max
+//!   linger) and a pause hook, generic over a small [`kernel::Backend`]
+//!   trait.
+//! * [`engine`] — the serving plane's backend: NDP wave batches through
+//!   [`ansmet_sim::WaveContext`], fault recovery, brownout admission and
+//!   scheduled maintenance.
 //! * [`report`] — p50/p95/p99/p99.9 for queue/execute/total latency,
 //!   achieved QPS, shed rate, and SLO attainment, as text and
 //!   deterministic JSON (`BENCH_serving.json`).
@@ -59,11 +61,10 @@
 pub mod arrival;
 pub mod engine;
 pub mod experiment;
-pub mod histogram;
+pub mod kernel;
 pub mod report;
 pub mod resilience;
 pub mod sweep;
-pub mod wfq;
 
 pub use arrival::{generate_arrivals, Arrival, ArrivalProcess, TenantSpec};
 pub use engine::{
@@ -71,11 +72,9 @@ pub use engine::{
     ServeConfig, FALLBACK_CYCLES_PER_LINE, POLL_MISS_PENALTY_CYCLES, TIMEOUT_PENALTY_CYCLES,
 };
 pub use experiment::{ops_serve_config, resilience_experiment, serve_experiment};
-pub use histogram::LatencyHistogram;
 pub use report::{cycles_to_ms, PercentileSummary, ServeReport, TenantReport};
 pub use resilience::{
     BrownoutConfig, HedgeConfig, ReplicationMode, ResilienceConfig, ResilienceReport, StormOutcome,
     StormProfile, WindowStats,
 };
 pub use sweep::{sweep_qps, QpsSweep, SweepPoint};
-pub use wfq::{WfqState, WFQ_SCALE};

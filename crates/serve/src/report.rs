@@ -8,15 +8,13 @@
 
 use std::fmt::Write as _;
 
+use ansmet_obs::LatencyHistogram;
 use ansmet_sim::{Design, RecoveryReport};
 
-use crate::arrival::TenantSpec;
-use crate::engine::ServeConfig;
-use crate::histogram::LatencyHistogram;
 use crate::resilience::ResilienceReport;
 
 /// Percentiles of one latency distribution, in memory cycles.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PercentileSummary {
     /// Samples summarized.
     pub count: u64,
@@ -84,7 +82,7 @@ pub fn cycles_to_ms(cycles: u64, mem_clock_mhz: u64) -> f64 {
 }
 
 /// One tenant's serving outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantReport {
     /// Tenant name.
     pub name: String,
@@ -109,33 +107,6 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
-    /// Assemble one tenant's report from the engine's tallies.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        spec: &TenantSpec,
-        offered: u64,
-        shed_queue: u64,
-        shed_deadline: u64,
-        completed: u64,
-        slo_attained: u64,
-        total: &LatencyHistogram,
-        makespan_cycles: u64,
-        mem_clock_mhz: u64,
-    ) -> Self {
-        TenantReport {
-            name: spec.name.clone(),
-            weight: spec.weight,
-            slo_cycles: spec.slo_cycles,
-            offered,
-            shed_queue,
-            shed_deadline,
-            completed,
-            slo_attained,
-            achieved_qps: qps_over(completed, makespan_cycles, mem_clock_mhz),
-            total: PercentileSummary::from_histogram(total),
-        }
-    }
-
     /// SLO attainment over *offered* queries: shed queries count as
     /// misses (they never got an answer at all).
     pub fn slo_attainment(&self) -> f64 {
@@ -174,7 +145,7 @@ impl std::fmt::Display for TenantReport {
 
 /// `completed` queries over `makespan` cycles at `mem_clock_mhz`, in
 /// queries per second.
-fn qps_over(completed: u64, makespan_cycles: u64, mem_clock_mhz: u64) -> f64 {
+pub(crate) fn qps_over(completed: u64, makespan_cycles: u64, mem_clock_mhz: u64) -> f64 {
     if makespan_cycles == 0 {
         0.0
     } else {
@@ -216,39 +187,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Assemble the aggregate report.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        serve: &ServeConfig,
-        mem_clock_mhz: u64,
-        makespan_cycles: u64,
-        batches: u64,
-        batched_queries: u64,
-        queue: &LatencyHistogram,
-        execute: &LatencyHistogram,
-        total: &LatencyHistogram,
-        tenants: Vec<TenantReport>,
-        recovery: Option<RecoveryReport>,
-        resilience: Option<ResilienceReport>,
-        results_fingerprint: u64,
-    ) -> Self {
-        ServeReport {
-            design: serve.design,
-            seed: serve.seed,
-            mem_clock_mhz,
-            makespan_cycles,
-            batches,
-            batched_queries,
-            queue: PercentileSummary::from_histogram(queue),
-            execute: PercentileSummary::from_histogram(execute),
-            total: PercentileSummary::from_histogram(total),
-            tenants,
-            recovery,
-            resilience,
-            results_fingerprint,
-        }
-    }
-
     /// Queries offered across all tenants.
     pub fn offered(&self) -> u64 {
         self.tenants.iter().map(|t| t.offered).sum()

@@ -36,11 +36,10 @@ use ansmet_faults::{ComputeFault, FaultInjector, FaultKind, StormKind, StormPlan
 use ansmet_host::{BreakerConfig, BreakerState, BreakerTransition, HealthTracker, RetryPolicy};
 use ansmet_index::HopKind;
 use ansmet_ndp::{Partitioner, ReplicaSet, ResultPayload};
-use ansmet_obs::{EventKind, TraceSink};
+use ansmet_obs::{EventKind, LatencyHistogram, TraceSink};
 use ansmet_sim::{RecoveryReport, Workload};
 
 use crate::engine::{FALLBACK_CYCLES_PER_LINE, POLL_MISS_PENALTY_CYCLES, TIMEOUT_PENALTY_CYCLES};
-use crate::histogram::LatencyHistogram;
 use crate::report::cycles_to_ms;
 
 /// Fixed per-offload overhead (instruction parse + QSHR setup + pipeline
