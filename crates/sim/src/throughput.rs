@@ -13,9 +13,10 @@
 //! shared memory system. Host-side costs of different streams run on
 //! different cores, so a wave pays only the slowest stream's host work.
 
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::ops::Range;
 
-use ansmet_core::EtEngine;
+use ansmet_core::{EtEngine, EtScratch};
 use ansmet_dram::MemorySystem;
 use ansmet_index::HopKind;
 use ansmet_ndp::{LoadTracker, Partitioner, ReplicaSet};
@@ -62,6 +63,19 @@ pub struct BatchExecution {
     pub per_query_cycles: Vec<u64>,
 }
 
+/// Functional early-termination outcomes of one query's trace, packed
+/// flat: per comparison, the lines each sub-vector fetches and the
+/// natural-layout backup lines (charged on its first sub-vector).
+struct QueryOutcomes {
+    /// Index of each hop's first comparison (`hops + 1` entries; centroid
+    /// hops run on the host and span none).
+    hop_start: Vec<u32>,
+    /// Lines per sub-vector, `subvectors_per_vector` entries per comparison.
+    lines: Vec<u16>,
+    /// Backup lines per comparison.
+    backup: Vec<u16>,
+}
+
 /// Prepared wave-model state for one `(design, workload, config)`
 /// triple, reusable across many batches.
 ///
@@ -72,6 +86,15 @@ pub struct BatchExecution {
 /// memory/NDP state, so a batch's cost depends only on its member
 /// queries — never on what the device ran before. That independence is
 /// the serving determinism contract.
+///
+/// Execution splits into a functional part and a timing part. The
+/// functional part — every comparison's early-termination outcome — is a
+/// pure function of the query, the candidate, its sub-vector dims and
+/// the trace threshold, so it is evaluated once per query, the first
+/// time the query executes, and kept for the context's lifetime. Replica
+/// choice moves a sub-vector's rank, never its dims, so the cached
+/// outcome holds whichever group serves the candidate. The timing part
+/// (rank placement, DRAM replay, polling) runs on every execution.
 pub struct WaveContext<'a> {
     design: Design,
     workload: &'a Workload,
@@ -84,6 +107,10 @@ pub struct WaveContext<'a> {
     ndp_compute_delay: u64,
     query_bytes: usize,
     elem_bytes: usize,
+    /// Per-query outcome table, filled on first execution.
+    outcomes: Vec<OnceCell<QueryOutcomes>>,
+    #[cfg(test)]
+    fills: std::cell::Cell<usize>,
 }
 
 impl<'a> WaveContext<'a> {
@@ -131,6 +158,11 @@ impl<'a> WaveContext<'a> {
             ndp_compute_delay,
             query_bytes: (dim * elem_bytes).min(1024),
             elem_bytes,
+            outcomes: (0..workload.traces.len())
+                .map(|_| OnceCell::new())
+                .collect(),
+            #[cfg(test)]
+            fills: std::cell::Cell::new(0),
         }
     }
 
@@ -174,6 +206,61 @@ impl<'a> WaveContext<'a> {
         self.execute_streams_sink(query_ids, streams, &mut NoopSink, 0)
     }
 
+    /// Query `qi`'s outcome table, evaluating it on first use.
+    fn outcomes(&self, qi: usize) -> &QueryOutcomes {
+        self.outcomes[qi].get_or_init(|| self.evaluate_query(qi))
+    }
+
+    /// Evaluate every non-centroid comparison of query `qi` against its
+    /// home placement: the one early-termination site of the wave model.
+    fn evaluate_query(&self, qi: usize) -> QueryOutcomes {
+        #[cfg(test)]
+        self.fills.set(self.fills.get() + 1);
+        let trace = &self.workload.traces[qi];
+        let query = &self.workload.queries[qi];
+        let small = |n: usize| u16::try_from(n).expect("line count fits u16");
+        let mut out = QueryOutcomes {
+            hop_start: vec![0],
+            lines: Vec::new(),
+            backup: Vec::new(),
+        };
+        let mut scratch = EtScratch::new();
+        let mut chunks: Vec<Range<usize>> = Vec::new();
+        for hop in &trace.hops {
+            if hop.kind != HopKind::Centroid {
+                for e in &hop.evals {
+                    chunks.clear();
+                    chunks.extend(self.partitioner.placement(e.id).into_iter().map(|p| p.dims));
+                    match &self.engine {
+                        None => {
+                            out.lines.extend(
+                                chunks
+                                    .iter()
+                                    .map(|d| small((d.len() * self.elem_bytes).div_ceil(64))),
+                            );
+                            out.backup.push(0);
+                        }
+                        Some(eng) => {
+                            let m = crate::etplan::evaluate_chunked(
+                                eng,
+                                e.id,
+                                query,
+                                &chunks,
+                                e.threshold,
+                                &mut scratch,
+                            );
+                            out.lines.extend(m.lines.iter().map(|&l| small(l)));
+                            out.backup.push(small(m.backup_lines));
+                        }
+                    }
+                }
+            }
+            let evals = u32::try_from(out.backup.len()).expect("comparison count fits u32");
+            out.hop_start.push(evals);
+        }
+        out
+    }
+
     /// [`execute_streams`](WaveContext::execute_streams) with a sink.
     fn execute_streams_sink<S: TraceSink>(
         &self,
@@ -188,24 +275,25 @@ impl<'a> WaveContext<'a> {
         let mem_clock = config.dram.clock_mhz;
         let cpu = &config.cpu;
         let partitioner = &self.partitioner;
-        let engine = &self.engine;
         let replicas = &self.replicas;
         let natural_lines = self.natural_lines;
         let full_lines = self.full_lines;
         let ndp_compute_delay = self.ndp_compute_delay;
         let query_bytes = self.query_bytes;
-        let elem_bytes = self.elem_bytes;
+        let n_ranks = config.ndp_units();
+        let subvecs = partitioner.subvectors_per_vector();
 
-        let mut loads = LoadTracker::new(config.ndp_units(), partitioner.group_size());
+        let mut loads = LoadTracker::new(n_ranks, partitioner.group_size());
         let mut mem = MemorySystem::new(config.dram.clone());
 
         // Stream cursors: (position in `query_ids`, hop index).
         let mut next_pos = 0usize;
         let mut cursors: Vec<(usize, usize)> = Vec::new();
-        let mut uploaded: HashMap<(usize, usize), ()> = HashMap::new();
+        // Whether stream position `pos` has uploaded its query to rank
+        // `r`: entry `pos * n_ranks + r`.
+        let mut uploaded = vec![false; query_ids.len() * n_ranks];
         let mut req_base = 0u64;
         let mut clock = 0u64;
-        let mut et_scratch = ansmet_core::EtScratch::new();
         let mut retire = vec![0u64; query_ids.len()];
 
         loop {
@@ -225,50 +313,28 @@ impl<'a> WaveContext<'a> {
             let mut host_serial_sum = 0u64;
             let mut upload_max = 0u64;
             let mut subs: Vec<SubTask> = Vec::new();
-            let mut tasks_per_rank: HashMap<usize, usize> = HashMap::new();
-            for (pos, hop_idx) in cursors.iter_mut() {
-                let qi = query_ids[*pos];
-                let trace = &workload.traces[qi];
-                let hop = &trace.hops[*hop_idx];
-                let query = &workload.queries[qi];
+            for &(pos, hop_idx) in &cursors {
+                let qi = query_ids[pos];
+                let hop = &workload.traces[qi].hops[hop_idx];
                 let accepted = hop.evals.iter().filter(|e| e.accepted).count();
                 let mut host = cpu.hop_cycles(hop.evals.len(), accepted);
                 let mut upload = 0u64;
                 if hop.kind == HopKind::Centroid {
                     host += cpu.distance_compute_cycles(natural_lines) * hop.evals.len() as u64;
                 } else {
-                    for e in &hop.evals {
+                    let out = self.outcomes(qi);
+                    let first = out.hop_start[hop_idx] as usize;
+                    for (ei, e) in (first..).zip(&hop.evals) {
                         let placements = if replicas.contains(e.id) {
                             partitioner.placement_in_group(e.id, loads.least_loaded_group())
                         } else {
                             partitioner.placement(e.id)
                         };
-                        let chunks: Vec<std::ops::Range<usize>> =
-                            placements.iter().map(|p| p.dims.clone()).collect();
-                        let (lines, backup): (Vec<usize>, usize) = match &engine {
-                            None => (
-                                placements
-                                    .iter()
-                                    .map(|p| (p.dims.len() * elem_bytes).div_ceil(64))
-                                    .collect(),
-                                0,
-                            ),
-                            Some(eng) => {
-                                let m = crate::etplan::evaluate_chunked(
-                                    eng,
-                                    e.id,
-                                    query,
-                                    &chunks,
-                                    e.threshold,
-                                    &mut et_scratch,
-                                );
-                                (m.lines, m.backup_lines)
-                            }
-                        };
-                        for (pi, (p, l)) in placements.iter().zip(&lines).enumerate() {
-                            let rank = p.rank;
-                            *tasks_per_rank.entry(rank).or_insert(0) += 1;
-                            loads.add(rank, *l as u64);
+                        let lines = &out.lines[ei * subvecs..(ei + 1) * subvecs];
+                        let backup = out.backup[ei] as usize;
+                        for (pi, (p, &l)) in placements.iter().zip(lines).enumerate() {
+                            let (rank, l) = (p.rank, l as usize);
+                            loads.add(rank, l as u64);
                             let base = (e.id as u64)
                                 * (full_lines as u64 + natural_lines as u64 + 2)
                                 + pi as u64;
@@ -278,7 +344,9 @@ impl<'a> WaveContext<'a> {
                                 base,
                                 ndp_compute_delay,
                             ));
-                            if uploaded.insert((*pos, rank), ()).is_none() {
+                            let first_touch = &mut uploaded[pos * n_ranks + rank];
+                            if !*first_touch {
+                                *first_touch = true;
                                 upload += cpu.query_upload_cycles(query_bytes);
                             }
                         }
@@ -419,6 +487,23 @@ mod tests {
             "32 units {} vs 8 units {}",
             r32.total_cycles,
             r8.total_cycles
+        );
+    }
+
+    #[test]
+    fn outcome_table_fills_once_per_query() {
+        let wl = Workload::prepare(&SynthSpec::gist().scaled(300, 6), 10, Some(24));
+        let cfg = SystemConfig::default();
+        let ctx = WaveContext::new(Design::NdpEtOpt, &wl, &cfg);
+        let batches: [&[usize]; 5] = [&[0, 1], &[1, 2, 1], &[3], &[2, 3, 0, 4], &[4, 0]];
+        for b in batches {
+            ctx.execute(b);
+        }
+        ctx.execute_streams(&[1, 3, 4, 2], 2);
+        assert_eq!(ctx.fills.get(), 5, "queries 0..5 filled once each");
+        assert!(
+            ctx.outcomes[5].get().is_none(),
+            "unexecuted query stays empty"
         );
     }
 
