@@ -1,13 +1,13 @@
 //! Shared evaluation of one comparison across sub-vector chunks: local
 //! early termination against proportional threshold shares, host-side
 //! aggregation of partial bounds, and the residual round that preserves
-//! exact accuracy (§5.3). Used by the timing replay and by the empirical
-//! layout selection so both see identical fetch behavior.
+//! exact accuracy (§5.3). Used by the replay device model and by the
+//! empirical layout selection so both see identical fetch behavior.
 
 use ansmet_core::{EtEngine, EtObserver, EtScratch, NoopEtObserver};
 
 /// Per-chunk line counts and the sound rejection verdict.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MultiEval {
     /// Lines fetched per chunk (same order as the input chunks).
     pub lines: Vec<usize>,
@@ -45,6 +45,7 @@ pub fn evaluate_chunked(
     threshold: f32,
     scratch: &mut EtScratch,
 ) -> MultiEval {
+    let mut out = MultiEval::default();
     evaluate_chunked_obs(
         engine,
         id,
@@ -53,15 +54,19 @@ pub fn evaluate_chunked(
         threshold,
         scratch,
         &mut NoopEtObserver,
-    )
+        &mut out,
+    );
+    out
 }
 
 /// [`evaluate_chunked`] reporting per-chunk termination outcomes to
-/// `obs` (see [`EtObserver`]). The observer never affects the result.
+/// `obs` (see [`EtObserver`]) and writing the result into `out`, whose
+/// line buffer is reused. The observer never affects the result.
 ///
 /// # Panics
 ///
 /// Panics if chunks are empty or out of range.
+#[allow(clippy::too_many_arguments)]
 pub fn evaluate_chunked_obs<O: EtObserver>(
     engine: &EtEngine<'_>,
     id: usize,
@@ -70,17 +75,22 @@ pub fn evaluate_chunked_obs<O: EtObserver>(
     threshold: f32,
     scratch: &mut EtScratch,
     obs: &mut O,
-) -> MultiEval {
+    out: &mut MultiEval,
+) {
     assert!(!chunks.is_empty(), "need at least one chunk");
     let dim = engine.dataset().dim();
+    let mut lines = std::mem::take(&mut out.lines);
+    lines.clear();
     if chunks.len() == 1 && chunks[0] == (0..dim) {
         let c = engine.evaluate_obs(id, query, threshold, scratch, obs);
-        return MultiEval {
-            lines: vec![c.lines],
+        lines.push(c.lines);
+        *out = MultiEval {
+            lines,
             backup_lines: c.backup_lines,
             pruned: c.pruned,
             resumed: false,
         };
+        return;
     }
 
     struct Local {
@@ -135,12 +145,13 @@ pub fn evaluate_chunked_obs<O: EtObserver>(
             }
         }
     }
-    MultiEval {
-        lines: local.iter().map(|l| l.lines).collect(),
+    lines.extend(local.iter().map(|l| l.lines));
+    *out = MultiEval {
+        lines,
         backup_lines: 0,
         pruned,
         resumed,
-    }
+    };
 }
 
 #[cfg(test)]

@@ -53,7 +53,6 @@ pub use throughput::{
     run_design_throughput, saturated_capacity_qps, BatchExecution, ThroughputResult, WaveContext,
 };
 pub use timing::{
-    batch_driver, run_design, run_design_shared, run_design_traced, set_batch_driver, BatchDriver,
-    QueryBreakdown, RunResult, TraceOptions,
+    run_design, run_design_shared, run_design_traced, QueryBreakdown, RunResult, TraceOptions,
 };
 pub use workload::Workload;

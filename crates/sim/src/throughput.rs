@@ -14,18 +14,17 @@
 //! different cores, so a wave pays only the slowest stream's host work.
 
 use std::cell::OnceCell;
-use std::ops::Range;
 
-use ansmet_core::{EtEngine, EtScratch};
+use ansmet_core::NoopEtObserver;
 use ansmet_dram::MemorySystem;
 use ansmet_index::HopKind;
-use ansmet_ndp::{LoadTracker, Partitioner, ReplicaSet};
+use ansmet_ndp::LoadTracker;
 
 use ansmet_obs::{NoopSink, TraceSink};
 
 use crate::config::SystemConfig;
-use crate::design::{Design, DesignPlan};
-use crate::timing::{row_buffer_delta, run_ndp_batch, SubTask};
+use crate::design::Design;
+use crate::timing::{idle_until, row_buffer_delta, run_ndp_batch, DeviceModel, EvalScratch};
 use crate::workload::Workload;
 
 /// Result of a throughput run.
@@ -87,26 +86,20 @@ struct QueryOutcomes {
 /// queries — never on what the device ran before. That independence is
 /// the serving determinism contract.
 ///
-/// Execution splits into a functional part and a timing part. The
-/// functional part — every comparison's early-termination outcome — is a
-/// pure function of the query, the candidate, its sub-vector dims and
-/// the trace threshold, so it is evaluated once per query, the first
-/// time the query executes, and kept for the context's lifetime. Replica
-/// choice moves a sub-vector's rank, never its dims, so the cached
-/// outcome holds whichever group serves the candidate. The timing part
-/// (rank placement, DRAM replay, polling) runs on every execution.
+/// The device itself — partitioner, layout, early-termination engine,
+/// hot-vector replicas, placement, per-comparison evaluation and line
+/// addresses — is the same model the latency replay
+/// ([`run_design`](crate::run_design)) uses. Execution splits into a
+/// functional part and a timing part. The functional part — every
+/// comparison's early-termination outcome — is a pure function of the
+/// query, the candidate, its sub-vector dims and the trace threshold, so
+/// it is evaluated once per query, the first time the query executes,
+/// and kept for the context's lifetime. Replica choice moves a
+/// sub-vector's rank, never its dims, so the cached outcome holds
+/// whichever group serves the candidate. The timing part (rank
+/// placement, DRAM replay, polling) runs on every execution.
 pub struct WaveContext<'a> {
-    design: Design,
-    workload: &'a Workload,
-    config: &'a SystemConfig,
-    partitioner: Partitioner,
-    engine: Option<EtEngine<'a>>,
-    replicas: ReplicaSet,
-    natural_lines: usize,
-    full_lines: usize,
-    ndp_compute_delay: u64,
-    query_bytes: usize,
-    elem_bytes: usize,
+    dev: DeviceModel<'a>,
     /// Per-query outcome table, filled on first execution.
     outcomes: Vec<OnceCell<QueryOutcomes>>,
     #[cfg(test)]
@@ -122,42 +115,8 @@ impl<'a> WaveContext<'a> {
     /// result, already contention-modeled).
     pub fn new(design: Design, workload: &'a Workload, config: &'a SystemConfig) -> Self {
         assert!(design.is_ndp(), "throughput waves model the NDP designs");
-        let data = &workload.data;
-        let dim = data.dim();
-        let elem_bytes = data.dtype().bytes();
-        let partitioner = Partitioner::new(config.partition, config.ndp_units(), dim, elem_bytes);
-        let layout_dim = partitioner.dims_per_subvector();
-        let plan = DesignPlan::build_for_layout(design, workload, layout_dim);
-        let engine = plan
-            .et
-            .as_ref()
-            .map(|et| EtEngine::new(&workload.data, et.clone()));
-        let natural_lines = data.vector_lines();
-        let full_lines = engine
-            .as_ref()
-            .map(|e| e.full_lines())
-            .unwrap_or(natural_lines);
-        let replicas = if config.replicate_hot {
-            ReplicaSet::new(workload.hot_ids())
-        } else {
-            ReplicaSet::new([])
-        };
-        let ndp_compute_delay = config
-            .compute
-            .to_mem_cycles(config.compute.reduce_cycles, config.dram.clock_mhz)
-            .max(1);
         WaveContext {
-            design,
-            workload,
-            config,
-            partitioner,
-            engine,
-            replicas,
-            natural_lines,
-            full_lines,
-            ndp_compute_delay,
-            query_bytes: (dim * elem_bytes).min(1024),
-            elem_bytes,
+            dev: DeviceModel::new(design, workload, config),
             outcomes: (0..workload.traces.len())
                 .map(|_| OnceCell::new())
                 .collect(),
@@ -168,7 +127,7 @@ impl<'a> WaveContext<'a> {
 
     /// The design this context executes.
     pub fn design(&self) -> Design {
-        self.design
+        self.dev.design
     }
 
     /// Execute the queries named by `query_ids` (indices into the
@@ -216,43 +175,31 @@ impl<'a> WaveContext<'a> {
     fn evaluate_query(&self, qi: usize) -> QueryOutcomes {
         #[cfg(test)]
         self.fills.set(self.fills.get() + 1);
-        let trace = &self.workload.traces[qi];
-        let query = &self.workload.queries[qi];
+        let dev = &self.dev;
+        let trace = &dev.workload.traces[qi];
+        let query = &dev.workload.queries[qi];
         let small = |n: usize| u16::try_from(n).expect("line count fits u16");
         let mut out = QueryOutcomes {
             hop_start: vec![0],
             lines: Vec::new(),
             backup: Vec::new(),
         };
-        let mut scratch = EtScratch::new();
-        let mut chunks: Vec<Range<usize>> = Vec::new();
+        let mut scratch = EvalScratch::default();
         for hop in &trace.hops {
             if hop.kind != HopKind::Centroid {
                 for e in &hop.evals {
-                    chunks.clear();
-                    chunks.extend(self.partitioner.placement(e.id).into_iter().map(|p| p.dims));
-                    match &self.engine {
-                        None => {
-                            out.lines.extend(
-                                chunks
-                                    .iter()
-                                    .map(|d| small((d.len() * self.elem_bytes).div_ceil(64))),
-                            );
-                            out.backup.push(0);
-                        }
-                        Some(eng) => {
-                            let m = crate::etplan::evaluate_chunked(
-                                eng,
-                                e.id,
-                                query,
-                                &chunks,
-                                e.threshold,
-                                &mut scratch,
-                            );
-                            out.lines.extend(m.lines.iter().map(|&l| small(l)));
-                            out.backup.push(small(m.backup_lines));
-                        }
-                    }
+                    let home = dev.partitioner.placement(e.id);
+                    dev.evaluate(
+                        e.id,
+                        query,
+                        e.threshold,
+                        &home,
+                        &mut scratch,
+                        &mut NoopEtObserver,
+                    );
+                    out.lines
+                        .extend(scratch.eval.lines.iter().map(|&l| small(l)));
+                    out.backup.push(small(scratch.eval.backup_lines));
                 }
             }
             let evals = u32::try_from(out.backup.len()).expect("comparison count fits u32");
@@ -270,20 +217,15 @@ impl<'a> WaveContext<'a> {
         base_cycle: u64,
     ) -> BatchExecution {
         assert!(streams > 0, "need at least one stream");
-        let workload = self.workload;
-        let config = self.config;
+        let dev = &self.dev;
+        let workload = dev.workload;
+        let config = dev.config;
         let mem_clock = config.dram.clock_mhz;
         let cpu = &config.cpu;
-        let partitioner = &self.partitioner;
-        let replicas = &self.replicas;
-        let natural_lines = self.natural_lines;
-        let full_lines = self.full_lines;
-        let ndp_compute_delay = self.ndp_compute_delay;
-        let query_bytes = self.query_bytes;
         let n_ranks = config.ndp_units();
-        let subvecs = partitioner.subvectors_per_vector();
+        let subvecs = dev.partitioner.subvectors_per_vector();
 
-        let mut loads = LoadTracker::new(n_ranks, partitioner.group_size());
+        let mut loads = LoadTracker::new(n_ranks, dev.partitioner.group_size());
         let mut mem = MemorySystem::new(config.dram.clone());
 
         // Stream cursors: (position in `query_ids`, hop index).
@@ -312,7 +254,7 @@ impl<'a> WaveContext<'a> {
             // de-synchronized, so serial host work is charged at its mean.
             let mut host_serial_sum = 0u64;
             let mut upload_max = 0u64;
-            let mut subs: Vec<SubTask> = Vec::new();
+            let mut subs = Vec::new();
             for &(pos, hop_idx) in &cursors {
                 let qi = query_ids[pos];
                 let hop = &workload.traces[qi].hops[hop_idx];
@@ -320,34 +262,20 @@ impl<'a> WaveContext<'a> {
                 let mut host = cpu.hop_cycles(hop.evals.len(), accepted);
                 let mut upload = 0u64;
                 if hop.kind == HopKind::Centroid {
-                    host += cpu.distance_compute_cycles(natural_lines) * hop.evals.len() as u64;
+                    host += cpu.distance_compute_cycles(dev.natural_lines) * hop.evals.len() as u64;
                 } else {
                     let out = self.outcomes(qi);
                     let first = out.hop_start[hop_idx] as usize;
                     for (ei, e) in (first..).zip(&hop.evals) {
-                        let placements = if replicas.contains(e.id) {
-                            partitioner.placement_in_group(e.id, loads.least_loaded_group())
-                        } else {
-                            partitioner.placement(e.id)
-                        };
+                        let placements = dev.placement(e.id, &loads);
                         let lines = &out.lines[ei * subvecs..(ei + 1) * subvecs];
                         let backup = out.backup[ei] as usize;
-                        for (pi, (p, &l)) in placements.iter().zip(lines).enumerate() {
-                            let (rank, l) = (p.rank, l as usize);
-                            loads.add(rank, l as u64);
-                            let base = (e.id as u64)
-                                * (full_lines as u64 + natural_lines as u64 + 2)
-                                + pi as u64;
-                            subs.push(SubTask::new(
-                                rank,
-                                l + if pi == 0 { backup } else { 0 },
-                                base,
-                                ndp_compute_delay,
-                            ));
-                            let first_touch = &mut uploaded[pos * n_ranks + rank];
+                        dev.push_subs(e.id, &placements, lines, backup, &mut loads, &mut subs);
+                        for p in &placements {
+                            let first_touch = &mut uploaded[pos * n_ranks + p.rank];
                             if !*first_touch {
                                 *first_touch = true;
-                                upload += cpu.query_upload_cycles(query_bytes);
+                                upload += cpu.query_upload_cycles(dev.query_bytes);
                             }
                         }
                     }
@@ -361,11 +289,7 @@ impl<'a> WaveContext<'a> {
             clock += host_serial_sum / cursors.len().max(1) as u64;
             if !subs.is_empty() {
                 let t0 = clock.max(mem.now());
-                let stats_before = if sink.enabled() {
-                    Some(mem.stats().clone())
-                } else {
-                    None
-                };
+                let stats_before = sink.enabled().then(|| mem.stats().clone());
                 let finish = run_ndp_batch(
                     &mut mem,
                     &mut subs,
@@ -382,9 +306,7 @@ impl<'a> WaveContext<'a> {
                 // One poll round closes the wave (streams poll in parallel on
                 // their own cores).
                 clock = finish + cpu.to_mem_cycles(cpu.poll_cycles(), mem_clock);
-                if mem.now() < clock && !mem.busy() {
-                    mem.fast_forward_to(clock).expect("idle fast-forward");
-                }
+                idle_until(&mut mem, clock);
                 clock = clock.max(mem.now());
             }
 

@@ -8,13 +8,14 @@
 //! All data movement goes through the cycle-accurate DDR5 simulator.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ansmet_core::{EtEngine, EtObserver};
+use ansmet_core::{EtEngine, EtObserver, EtScratch};
 use ansmet_dram::{AccessKind, CommandKind, Location, MemorySystem, Port, Request};
 use ansmet_index::HopKind;
 use ansmet_ndp::qshr::QSHRS_PER_UNIT;
-use ansmet_ndp::{LoadTracker, Partitioner, PollingPolicy, PollingStats, ReplicaSet};
+use ansmet_ndp::{LoadTracker, Partitioner, Placement, PollingPolicy, PollingStats, ReplicaSet};
 use ansmet_obs::{
     DramCommandKind, EventKind, FlightRecorder, NoopSink, Phase, QueryRecorder, RecorderConfig,
     TraceSink,
@@ -22,6 +23,7 @@ use ansmet_obs::{
 
 use crate::config::SystemConfig;
 use crate::design::{Design, DesignPlan};
+use crate::etplan::{evaluate_chunked_obs, MultiEval};
 use crate::events::{EventWheel, Wakeup};
 use crate::workload::Workload;
 
@@ -173,6 +175,14 @@ fn rank_line_addr(mem: &MemorySystem, global_rank: usize, line_idx: u64) -> u64 
     })
 }
 
+/// Fast-forward an idle memory system to `cycle`; a busy one is left to
+/// tick its way there.
+pub(crate) fn idle_until(mem: &mut MemorySystem, cycle: u64) {
+    if mem.now() < cycle && !mem.busy() {
+        mem.fast_forward_to(cycle).expect("idle fast-forward");
+    }
+}
+
 /// One comparison sub-task bound for one rank.
 #[derive(Debug, Clone)]
 pub(crate) struct SubTask {
@@ -202,38 +212,16 @@ impl SubTask {
     }
 }
 
-/// Which driver advances time inside [`run_ndp_batch`].
-///
-/// Both produce bit-identical results; `Tick` is the original
-/// scan-every-sub-each-cycle reference kept for equivalence testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchDriver {
-    /// Event-wheel driver: wakeups (compute-gap expiries, admissions)
-    /// are scheduled explicitly and dead spans are jumped. The default.
-    Wheel,
-    /// Reference driver: rescans every sub-task at every visited cycle.
-    Tick,
-}
+// Production runs every NDP batch on the wheel driver; test and
+// `dual-driver` builds also replay it on the tick reference and assert
+// that the two agree (see `reference`).
+#[cfg(any(test, feature = "dual-driver"))]
+pub(crate) use reference::run_ndp_batch;
+#[cfg(not(any(test, feature = "dual-driver")))]
+pub(crate) use run_ndp_batch_wheel as run_ndp_batch;
 
-static BATCH_DRIVER: AtomicU8 = AtomicU8::new(0);
-
-/// Select the batch time-stepping driver process-wide. Test hook for
-/// wheel-vs-tick equivalence runs; production code never calls this.
-#[doc(hidden)]
-pub fn set_batch_driver(driver: BatchDriver) {
-    BATCH_DRIVER.store(driver as u8, Ordering::Relaxed);
-}
-
-/// The currently selected batch driver.
-pub fn batch_driver() -> BatchDriver {
-    match BATCH_DRIVER.load(Ordering::Relaxed) {
-        0 => BatchDriver::Wheel,
-        _ => BatchDriver::Tick,
-    }
-}
-
-/// Executes the per-hop batch on the NDP units; returns the cycle when
-/// the last sub-task finished.
+/// Executes the per-hop batch on the NDP units (`run_ndp_batch`); returns
+/// the cycle when the last sub-task finished.
 ///
 /// QSHR occupancy transitions (allocate on admission, free on
 /// completion) are reported to `sink` with event times rebased to
@@ -241,83 +229,19 @@ pub fn batch_driver() -> BatchDriver {
 /// attribution-clock `dist_comp` span. With a [`NoopSink`] the calls
 /// monomorphize to nothing.
 ///
-/// With the `dual-driver` feature, every call additionally replays the
-/// batch on the tick-driven reference and asserts the two drivers agree
-/// on every observable: finish cycle, memory clock, stats, per-rank
-/// command counts, request-id cursor, and each sub-task's completion
-/// cycle.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_ndp_batch<S: TraceSink>(
-    mem: &mut MemorySystem,
-    subs: &mut [SubTask],
-    qshrs_per_rank: usize,
-    req_base: &mut u64,
-    t0: u64,
-    sink: &mut S,
-    trace_base: u64,
-) -> u64 {
-    #[cfg(feature = "dual-driver")]
-    let reference = {
-        let mut mem_ref = mem.clone();
-        let mut subs_ref: Vec<SubTask> = subs.to_vec();
-        let mut req_ref = *req_base;
-        let fin = run_ndp_batch_tick(
-            &mut mem_ref,
-            &mut subs_ref,
-            qshrs_per_rank,
-            &mut req_ref,
-            t0,
-            &mut NoopSink,
-            trace_base,
-        );
-        (mem_ref, subs_ref, req_ref, fin)
-    };
-
-    let finish = match batch_driver() {
-        BatchDriver::Wheel => {
-            run_ndp_batch_wheel(mem, subs, qshrs_per_rank, req_base, t0, sink, trace_base)
-        }
-        BatchDriver::Tick => {
-            run_ndp_batch_tick(mem, subs, qshrs_per_rank, req_base, t0, sink, trace_base)
-        }
-    };
-
-    #[cfg(feature = "dual-driver")]
-    {
-        let (mem_ref, subs_ref, req_ref, fin_ref) = reference;
-        assert_eq!(finish, fin_ref, "dual-driver: finish cycle diverged");
-        assert_eq!(mem.now(), mem_ref.now(), "dual-driver: clock diverged");
-        assert_eq!(*req_base, req_ref, "dual-driver: request ids diverged");
-        assert_eq!(mem.stats(), mem_ref.stats(), "dual-driver: stats diverged");
-        assert_eq!(
-            mem.rank_command_counts(),
-            mem_ref.rank_command_counts(),
-            "dual-driver: command counts diverged"
-        );
-        for (i, (s, r)) in subs.iter().zip(&subs_ref).enumerate() {
-            assert_eq!(
-                s.finished_at, r.finished_at,
-                "dual-driver: sub-task {i} completion diverged"
-            );
-        }
-    }
-
-    finish
-}
-
-/// Event-wheel batch driver. Each visited cycle costs O(due wakeups +
-/// completions) instead of the reference driver's O(all sub-tasks):
+/// Event-wheel driver: each visited cycle costs O(due wakeups +
+/// completions) instead of the tick reference's O(all sub-tasks):
 /// compute-gap expiries live in an [`EventWheel`], unadmitted sub-tasks
 /// wait in per-rank queues scanned only when a QSHR frees, and the skip
 /// target is `min(DRAM event horizon, wheel.next_due())`.
 ///
-/// Cycle-for-cycle equivalent to [`run_ndp_batch_tick`] by construction:
+/// Cycle-for-cycle equivalent to the tick reference by construction:
 /// fetches enqueue at the same cycles (admission order is ascending
 /// sub-index, retries after a queue-full block happen at the very next
 /// cycle), ticks and skips interleave identically, and sink events fire
 /// in the same order at the same rebased times.
 #[allow(clippy::too_many_arguments)]
-fn run_ndp_batch_wheel<S: TraceSink>(
+pub(crate) fn run_ndp_batch_wheel<S: TraceSink>(
     mem: &mut MemorySystem,
     subs: &mut [SubTask],
     qshrs_per_rank: usize,
@@ -471,220 +395,416 @@ fn run_ndp_batch_wheel<S: TraceSink>(
         }
     }
     // Let the memory system settle past the final compute.
-    if mem.now() < finish_max && !mem.busy() {
-        mem.fast_forward_to(finish_max).expect("idle fast-forward");
-    }
+    idle_until(mem, finish_max);
     finish_max
 }
 
-/// Tick-driven reference batch driver: the original implementation,
-/// kept always-compiled as the equivalence oracle for the wheel driver
-/// (see [`BatchDriver`] and the `dual-driver` feature).
-#[allow(clippy::too_many_arguments)]
-fn run_ndp_batch_tick<S: TraceSink>(
-    mem: &mut MemorySystem,
-    subs: &mut [SubTask],
-    qshrs_per_rank: usize,
-    req_base: &mut u64,
-    t0: u64,
-    sink: &mut S,
-    trace_base: u64,
-) -> u64 {
-    debug_assert!(mem.now() <= t0 || !mem.busy());
-    if mem.now() < t0 {
-        mem.fast_forward_to(t0).expect("idle fast-forward");
-    }
-    let mut finish_max = t0;
-    // Zero-line sub-tasks finish immediately.
-    for s in subs.iter_mut() {
-        s.ready_at = s.ready_at.max(t0);
-        if s.lines_left == 0 {
-            s.finished_at = Some(t0);
-        }
-    }
-    let n_ranks_total = mem.config().total_ranks();
-    let mut active_per_rank = vec![0usize; n_ranks_total];
-    let mut admitted: Vec<bool> = subs.iter().map(|s| s.finished_at.is_some()).collect();
-    let mut inflight: HashMap<u64, usize> = HashMap::new();
-    let mut remaining = subs.iter().filter(|s| s.finished_at.is_none()).count();
+/// The per-batch equivalence check: test and `dual-driver` builds run
+/// every NDP batch through both the wheel driver and the tick reference.
+#[cfg(any(test, feature = "dual-driver"))]
+pub(crate) mod reference {
+    use ansmet_dram::{CommandRecord, MemoryStats};
 
-    while remaining > 0 {
-        let now = mem.now();
-        // Admit waiting sub-tasks up to the QSHR limit, then issue fetches.
-        // Track the earliest compute-gap expiry among admitted sub-tasks
-        // so the event skip below never jumps past an issuable fetch.
-        let mut wake = u64::MAX;
-        let mut blocked = false;
-        for (i, s) in subs.iter_mut().enumerate() {
-            if s.finished_at.is_some() {
-                continue;
+    use super::*;
+
+    /// Tick-driven reference batch driver: the original implementation,
+    /// which rescans every sub-task at every visited cycle.
+    #[allow(clippy::too_many_arguments)]
+    fn run_ndp_batch_tick<S: TraceSink>(
+        mem: &mut MemorySystem,
+        subs: &mut [SubTask],
+        qshrs_per_rank: usize,
+        req_base: &mut u64,
+        t0: u64,
+        sink: &mut S,
+        trace_base: u64,
+    ) -> u64 {
+        debug_assert!(mem.now() <= t0 || !mem.busy());
+        if mem.now() < t0 {
+            mem.fast_forward_to(t0).expect("idle fast-forward");
+        }
+        let mut finish_max = t0;
+        // Zero-line sub-tasks finish immediately.
+        for s in subs.iter_mut() {
+            s.ready_at = s.ready_at.max(t0);
+            if s.lines_left == 0 {
+                s.finished_at = Some(t0);
             }
-            if !admitted[i] {
-                if active_per_rank[s.rank] < qshrs_per_rank {
-                    active_per_rank[s.rank] += 1;
-                    admitted[i] = true;
-                    let at = trace_base + (now - t0);
-                    sink.event(
-                        at,
-                        EventKind::QshrAlloc {
-                            rank: s.rank as u32,
-                            active: active_per_rank[s.rank] as u32,
-                        },
-                    );
-                    sink.event(
-                        at,
-                        EventKind::GroupFetch {
-                            rank: s.rank as u32,
-                            lines: s.lines_left as u32,
-                        },
-                    );
-                    sink.gauge_max("ndp.qshr_active_max", active_per_rank[s.rank] as u64);
-                } else {
+        }
+        let n_ranks_total = mem.config().total_ranks();
+        let mut active_per_rank = vec![0usize; n_ranks_total];
+        let mut admitted: Vec<bool> = subs.iter().map(|s| s.finished_at.is_some()).collect();
+        let mut inflight: HashMap<u64, usize> = HashMap::new();
+        let mut remaining = subs.iter().filter(|s| s.finished_at.is_none()).count();
+
+        while remaining > 0 {
+            let now = mem.now();
+            // Admit waiting sub-tasks up to the QSHR limit, then issue fetches.
+            // Track the earliest compute-gap expiry among admitted sub-tasks
+            // so the event skip below never jumps past an issuable fetch.
+            let mut wake = u64::MAX;
+            let mut blocked = false;
+            for (i, s) in subs.iter_mut().enumerate() {
+                if s.finished_at.is_some() {
                     continue;
                 }
-            }
-            if s.outstanding.is_none() && s.lines_left > 0 {
-                if s.ready_at <= now {
-                    let addr = rank_line_addr(mem, s.rank, s.next_line);
-                    let id = *req_base;
-                    let req = Request::new(id, AccessKind::Read, addr, Port::Ndp);
-                    if mem.enqueue(req).is_ok() {
-                        *req_base += 1;
-                        s.outstanding = Some(id);
-                        inflight.insert(id, i);
+                if !admitted[i] {
+                    if active_per_rank[s.rank] < qshrs_per_rank {
+                        active_per_rank[s.rank] += 1;
+                        admitted[i] = true;
+                        let at = trace_base + (now - t0);
+                        sink.event(
+                            at,
+                            EventKind::QshrAlloc {
+                                rank: s.rank as u32,
+                                active: active_per_rank[s.rank] as u32,
+                            },
+                        );
+                        sink.event(
+                            at,
+                            EventKind::GroupFetch {
+                                rank: s.rank as u32,
+                                lines: s.lines_left as u32,
+                            },
+                        );
+                        sink.gauge_max("ndp.qshr_active_max", active_per_rank[s.rank] as u64);
                     } else {
-                        blocked = true;
+                        continue;
                     }
-                } else {
-                    wake = wake.min(s.ready_at);
+                }
+                if s.outstanding.is_none() && s.lines_left > 0 {
+                    if s.ready_at <= now {
+                        let addr = rank_line_addr(mem, s.rank, s.next_line);
+                        let id = *req_base;
+                        let req = Request::new(id, AccessKind::Read, addr, Port::Ndp);
+                        if mem.enqueue(req).is_ok() {
+                            *req_base += 1;
+                            s.outstanding = Some(id);
+                            inflight.insert(id, i);
+                        } else {
+                            blocked = true;
+                        }
+                    } else {
+                        wake = wake.min(s.ready_at);
+                    }
+                }
+            }
+            mem.tick();
+            let now = mem.now();
+            let responses = mem.take_completed();
+            if responses.is_empty() && !blocked {
+                // Dead cycles until the DRAM model can act again or a compute
+                // gap elapses — jump straight there.
+                mem.skip_to_event(wake);
+            }
+            for resp in responses {
+                if let Some(&i) = inflight.get(&resp.id) {
+                    inflight.remove(&resp.id);
+                    let s = &mut subs[i];
+                    s.outstanding = None;
+                    s.lines_left -= 1;
+                    s.next_line += 1;
+                    s.ready_at = now + s.compute_delay;
+                    if s.lines_left == 0 {
+                        let done = s.ready_at;
+                        s.finished_at = Some(done);
+                        finish_max = finish_max.max(done);
+                        active_per_rank[s.rank] -= 1;
+                        remaining -= 1;
+                        sink.event(
+                            trace_base + (done - t0),
+                            EventKind::QshrFree {
+                                rank: s.rank as u32,
+                                active: active_per_rank[s.rank] as u32,
+                            },
+                        );
+                    }
                 }
             }
         }
-        mem.tick();
-        let now = mem.now();
-        let responses = mem.take_completed();
-        if responses.is_empty() && !blocked {
-            // Dead cycles until the DRAM model can act again or a compute
-            // gap elapses — jump straight there.
-            mem.skip_to_event(wake);
+        // Let the memory system settle past the final compute.
+        if mem.now() < finish_max && !mem.busy() {
+            mem.fast_forward_to(finish_max).expect("idle fast-forward");
         }
-        for resp in responses {
-            if let Some(&i) = inflight.get(&resp.id) {
-                inflight.remove(&resp.id);
-                let s = &mut subs[i];
-                s.outstanding = None;
-                s.lines_left -= 1;
-                s.next_line += 1;
-                s.ready_at = now + s.compute_delay;
-                if s.lines_left == 0 {
-                    let done = s.ready_at;
-                    s.finished_at = Some(done);
-                    finish_max = finish_max.max(done);
-                    active_per_rank[s.rank] -= 1;
-                    remaining -= 1;
-                    sink.event(
-                        trace_base + (done - t0),
-                        EventKind::QshrFree {
-                            rank: s.rank as u32,
-                            active: active_per_rank[s.rank] as u32,
-                        },
-                    );
+        finish_max
+    }
+
+    /// A sink call made by a batch driver.
+    #[derive(Debug, PartialEq)]
+    enum SinkCall {
+        Event(u64, EventKind),
+        GaugeMax(&'static str, u64),
+    }
+
+    /// Records a batch driver's sink calls: events and gauge maxima, the
+    /// only calls the drivers make.
+    #[derive(Debug, Default)]
+    struct CallLog(Vec<SinkCall>);
+
+    impl TraceSink for CallLog {
+        fn event(&mut self, cycle: u64, kind: EventKind) {
+            self.0.push(SinkCall::Event(cycle, kind));
+        }
+        fn gauge_max(&mut self, name: &'static str, value: u64) {
+            self.0.push(SinkCall::GaugeMax(name, value));
+        }
+    }
+
+    /// Everything the caller of a batch driver can observe.
+    #[derive(Debug, PartialEq)]
+    struct BatchOutcome {
+        finish: u64,
+        clock: u64,
+        req_base: u64,
+        stats: MemoryStats,
+        rank_counts: Vec<(u64, u64, u64, u64, u64)>,
+        finished_at: Vec<Option<u64>>,
+        calls: Vec<SinkCall>,
+        /// The DRAM command log of a traced run.
+        commands: Option<Vec<CommandRecord>>,
+    }
+
+    type Driver =
+        fn(&mut MemorySystem, &mut [SubTask], usize, &mut u64, u64, &mut CallLog, u64) -> u64;
+
+    /// `run_ndp_batch` in test and `dual-driver` builds: the tick
+    /// reference replays the batch on a copy of the caller's state, the
+    /// wheel runs it for real, and the two must agree on every
+    /// observable (finish cycle, clock, request ids, memory statistics,
+    /// per-rank command counts, each sub-task's completion cycle, every
+    /// sink call, and the DRAM command log). When the caller does not
+    /// trace commands, the wheel also replays on a traced copy so the
+    /// command logs are still compared. The wheel's sink calls are then
+    /// forwarded to `sink` in order.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_ndp_batch<S: TraceSink>(
+        mem: &mut MemorySystem,
+        subs: &mut [SubTask],
+        qshrs_per_rank: usize,
+        req_base: &mut u64,
+        t0: u64,
+        sink: &mut S,
+        trace_base: u64,
+    ) -> u64 {
+        let drive =
+            |driver: Driver, mem: &mut MemorySystem, subs: &mut [SubTask], req: &mut u64| {
+                let mut log = CallLog::default();
+                let finish = driver(mem, subs, qshrs_per_rank, req, t0, &mut log, trace_base);
+                BatchOutcome {
+                    finish,
+                    clock: mem.now(),
+                    req_base: *req,
+                    stats: mem.stats().clone(),
+                    rank_counts: mem.rank_command_counts(),
+                    finished_at: subs.iter().map(|s| s.finished_at).collect(),
+                    calls: log.0,
+                    // Drain a copy: the caller still owns the log it traced.
+                    commands: mem
+                        .command_trace_enabled()
+                        .then(|| mem.clone().take_command_trace()),
                 }
+            };
+        // Copies that trace DRAM commands, so the command streams are
+        // compared even when the caller does not trace them.
+        let traced_copy = |mem: &MemorySystem, subs: &[SubTask], req: u64| {
+            let mut mem = mem.clone();
+            mem.enable_command_trace();
+            (mem, subs.to_vec(), req)
+        };
+        let (mut mem_ref, mut subs_ref, mut req_ref) = traced_copy(mem, subs, *req_base);
+        let tick = drive(
+            run_ndp_batch_tick,
+            &mut mem_ref,
+            &mut subs_ref,
+            &mut req_ref,
+        );
+        let commands = (!mem.command_trace_enabled()).then(|| {
+            let (mut mem_w, mut subs_w, mut req_w) = traced_copy(mem, subs, *req_base);
+            drive(run_ndp_batch_wheel, &mut mem_w, &mut subs_w, &mut req_w).commands
+        });
+        let mut wheel = drive(run_ndp_batch_wheel, mem, subs, req_base);
+        if let Some(commands) = commands {
+            wheel.commands = commands;
+        }
+        assert_eq!(wheel, tick, "wheel and tick batch drivers diverged");
+        for call in wheel.calls {
+            match call {
+                SinkCall::Event(at, kind) => sink.event(at, kind),
+                SinkCall::GaugeMax(name, value) => sink.gauge_max(name, value),
             }
         }
+        wheel.finish
     }
-    // Let the memory system settle past the final compute.
-    if mem.now() < finish_max && !mem.busy() {
-        mem.fast_forward_to(finish_max).expect("idle fast-forward");
-    }
-    finish_max
 }
 
-/// Immutable per-run state shared (read-only) by all worker threads.
-struct RunPrep<'a> {
-    design: Design,
-    workload: &'a Workload,
-    config: &'a SystemConfig,
-    partitioner: Partitioner,
+/// The device both replays model: one design's partitioner, data layout,
+/// early-termination engine and hot-vector replicas over one workload,
+/// plus the per-line costs derived from them. The latency replay
+/// ([`run_design`]) and the wave replay ([`crate::WaveContext`]) each hold
+/// one, so both place, evaluate and address every comparison alike.
+pub(crate) struct DeviceModel<'a> {
+    pub(crate) design: Design,
+    pub(crate) workload: &'a Workload,
+    pub(crate) config: &'a SystemConfig,
+    pub(crate) partitioner: Partitioner,
     engine: Option<EtEngine<'a>>,
     replicas: ReplicaSet,
-    polling: PollingPolicy,
-    natural_lines: usize,
+    /// Lines of one vector in the natural layout.
+    pub(crate) natural_lines: usize,
+    /// Lines one full (non-terminated) comparison fetches.
     full_lines: usize,
+    /// NDP compute delay per fetched line, in memory cycles.
     ndp_compute_delay: u64,
-    query_bytes: usize,
-    elem_bytes: usize,
-    mem_clock: u64,
+    /// Bytes of one query upload to a rank.
+    pub(crate) query_bytes: usize,
 }
 
-impl<'a> RunPrep<'a> {
-    fn new(design: Design, workload: &'a Workload, config: &'a SystemConfig) -> Self {
+/// Reusable buffers for [`DeviceModel::evaluate`].
+#[derive(Default)]
+pub(crate) struct EvalScratch {
+    et: EtScratch,
+    chunks: Vec<Range<usize>>,
+    /// The last comparison's lines per placement, backup lines, and
+    /// pruned and resumed flags.
+    pub(crate) eval: MultiEval,
+}
+
+impl<'a> DeviceModel<'a> {
+    pub(crate) fn new(design: Design, workload: &'a Workload, config: &'a SystemConfig) -> Self {
         let data = &workload.data;
         let dim = data.dim();
         let elem_bytes = data.dtype().bytes();
-
-        // NDP-side structures.
         let partitioner = Partitioner::new(config.partition, config.ndp_units(), dim, elem_bytes);
         let layout_dim = if design.is_ndp() {
             partitioner.dims_per_subvector()
         } else {
             dim
         };
-        let plan = DesignPlan::build_for_layout(design, workload, layout_dim);
-        let engine = plan
+        let engine = DesignPlan::build_for_layout(design, workload, layout_dim)
             .et
-            .as_ref()
-            .map(|et| EtEngine::new(&workload.data, et.clone()));
+            .map(|et| EtEngine::new(data, et));
         let natural_lines = data.vector_lines();
-        let mem_clock = config.dram.clock_mhz;
-
-        let replicas = if config.replicate_hot && design.is_ndp() {
-            ReplicaSet::new(workload.hot_ids())
+        let hot = if config.replicate_hot && design.is_ndp() {
+            workload.hot_ids()
         } else {
-            ReplicaSet::new([])
+            Vec::new()
         };
-
-        // Compute delay per fetched line in memory cycles. The 16 lanes
-        // consume elements while the burst streams in and while the next
-        // fetch's DRAM access latency elapses, so only the reduce/compare
-        // tail gates the decision to issue the next fetch.
+        // The 16 lanes consume elements while the burst streams in and
+        // while the next fetch's DRAM access latency elapses, so only the
+        // reduce/compare tail gates the decision to issue the next fetch.
         let ndp_compute_delay = config
             .compute
-            .to_mem_cycles(config.compute.reduce_cycles, mem_clock)
+            .to_mem_cycles(config.compute.reduce_cycles, config.dram.clock_mhz)
             .max(1);
-
-        // Polling policy.
-        let polling = config.polling.clone().unwrap_or_else(|| {
-            let hist = line_histogram(&plan, workload, natural_lines);
-            PollingPolicy::Adaptive {
-                latency_histogram: hist,
-                cycles_per_line: 60,
-                task_overhead: 50 + ndp_compute_delay,
-                retry_period: 60,
-            }
-        });
-
-        // Lines one full (non-terminated) comparison fetches.
-        let full_lines = engine
-            .as_ref()
-            .map(|e| e.full_lines())
-            .unwrap_or(natural_lines);
-
-        RunPrep {
+        DeviceModel {
             design,
             workload,
             config,
             partitioner,
+            full_lines: engine.as_ref().map_or(natural_lines, |e| e.full_lines()),
             engine,
-            replicas,
-            polling,
+            replicas: ReplicaSet::new(hot),
             natural_lines,
-            full_lines,
             ndp_compute_delay,
             query_bytes: (dim * elem_bytes).min(1024),
-            elem_bytes,
-            mem_clock,
         }
+    }
+
+    /// Where comparison `id` runs: a replicated hot vector is served by
+    /// the least-loaded rank group, any other vector by its home group.
+    pub(crate) fn placement(&self, id: usize, loads: &LoadTracker) -> Vec<Placement> {
+        if self.replicas.contains(id) {
+            self.partitioner
+                .placement_in_group(id, loads.least_loaded_group())
+        } else {
+            self.partitioner.placement(id)
+        }
+    }
+
+    /// Evaluate comparison `id` at `threshold` over `placements` into
+    /// `scratch.eval`. CPU designs and single-placement NDP evaluate one
+    /// whole-vector chunk; vertical sub-vectors terminate locally against
+    /// proportional threshold shares, aggregated soundly by the host (see
+    /// [`crate::etplan`]). Without an engine every chunk fetches in full.
+    pub(crate) fn evaluate<O: EtObserver>(
+        &self,
+        id: usize,
+        query: &[f32],
+        threshold: f32,
+        placements: &[Placement],
+        scratch: &mut EvalScratch,
+        obs: &mut O,
+    ) {
+        let data = &self.workload.data;
+        scratch.chunks.clear();
+        if placements.len() == 1 || !self.design.is_ndp() {
+            scratch.chunks.push(0..data.dim());
+        } else {
+            scratch
+                .chunks
+                .extend(placements.iter().map(|p| p.dims.clone()));
+        }
+        let out = &mut scratch.eval;
+        if let Some(eng) = &self.engine {
+            let (chunks, et) = (&scratch.chunks, &mut scratch.et);
+            return evaluate_chunked_obs(eng, id, query, chunks, threshold, et, obs, out);
+        }
+        let elem_bytes = data.dtype().bytes();
+        let full = scratch
+            .chunks
+            .iter()
+            .map(|d| (d.len() * elem_bytes).div_ceil(64));
+        out.lines.clear();
+        out.lines.extend(full);
+        (out.backup_lines, out.pruned, out.resumed) = (0, false, false);
+    }
+
+    /// Charge comparison `id`'s `lines` (one entry per evaluated chunk) to
+    /// their placements' ranks in `loads` and queue one fetch sub-task per
+    /// chunk; the backup recheck rides on the first. Each vector owns a
+    /// stride of lines, so distinct vectors never share an address.
+    pub(crate) fn push_subs<L: Copy + Into<usize>>(
+        &self,
+        id: usize,
+        placements: &[Placement],
+        lines: &[L],
+        backup: usize,
+        loads: &mut LoadTracker,
+        subs: &mut Vec<SubTask>,
+    ) {
+        let stride = (self.full_lines + self.natural_lines + 2) as u64;
+        for (pi, (p, &l)) in placements.iter().zip(lines).enumerate() {
+            let l: usize = l.into();
+            loads.add(p.rank, l as u64);
+            subs.push(SubTask::new(
+                p.rank,
+                l + if pi == 0 { backup } else { 0 },
+                id as u64 * stride + pi as u64,
+                self.ndp_compute_delay,
+            ));
+        }
+    }
+}
+
+/// Immutable per-run state shared (read-only) by all worker threads.
+struct RunPrep<'a> {
+    dev: DeviceModel<'a>,
+    polling: PollingPolicy,
+}
+
+impl<'a> RunPrep<'a> {
+    fn new(design: Design, workload: &'a Workload, config: &'a SystemConfig) -> Self {
+        let dev = DeviceModel::new(design, workload, config);
+        let polling = config
+            .polling
+            .clone()
+            .unwrap_or_else(|| PollingPolicy::Adaptive {
+                latency_histogram: line_histogram(&dev),
+                cycles_per_line: 60,
+                task_overhead: 50 + dev.ndp_compute_delay,
+                retry_period: 60,
+            });
+        RunPrep { dev, polling }
     }
 }
 
@@ -824,9 +944,9 @@ pub fn run_design(design: Design, workload: &Workload, config: &SystemConfig) ->
 /// live forever in the [`Workload::prepare_shared`] cache and are
 /// immutable behind the `Arc` — and the config by its `Debug` rendering.
 ///
-/// Hits still count toward [`crate::parallel::queries_simulated`] (the
-/// queries were logically replayed) but add no DRAM tick/skip cycles
-/// (no simulation actually ran).
+/// Hits replay nothing, so they add neither to
+/// [`crate::parallel::queries_simulated`] nor to the DRAM tick/skip
+/// cycle counters: only real replays count.
 pub fn run_design_shared(
     design: Design,
     workload: &std::sync::Arc<Workload>,
@@ -842,7 +962,6 @@ pub fn run_design_shared(
     );
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(r) = cache.lock().expect("run cache poisoned").get(&key) {
-        crate::parallel::record_queries(workload.traces.len() as u64);
         return r.clone();
     }
     let r = run_design(design, workload, config);
@@ -1010,19 +1129,11 @@ fn run_query_sink<S: TraceSink>(
     sink: &mut S,
     dram_commands: bool,
 ) -> QueryStats {
-    let config = prep.config;
-    let workload = prep.workload;
-    let design = prep.design;
+    let dev = &prep.dev;
+    let config = dev.config;
     let cpu = &config.cpu;
-    let mem_clock = prep.mem_clock;
-    let engine = &prep.engine;
-    let natural_lines = prep.natural_lines;
-    let full_lines = prep.full_lines;
-    let ndp_compute_delay = prep.ndp_compute_delay;
-    let query_bytes = prep.query_bytes;
-    let elem_bytes = prep.elem_bytes;
-    let partitioner = &prep.partitioner;
-    let replicas = &prep.replicas;
+    let mem_clock = config.dram.clock_mhz;
+    let natural_lines = dev.natural_lines;
     let polling = &prep.polling;
 
     let mut mem = MemorySystem::new(config.dram.clone());
@@ -1030,10 +1141,10 @@ fn run_query_sink<S: TraceSink>(
     if trace_dram {
         mem.enable_command_trace();
     }
-    let mut loads = LoadTracker::new(config.ndp_units(), partitioner.group_size());
+    let mut loads = LoadTracker::new(config.ndp_units(), dev.partitioner.group_size());
     let mut qs = QueryStats::default();
     let mut req_base: u64 = 0;
-    let mut et_scratch = ansmet_core::EtScratch::new();
+    let mut scratch = EvalScratch::default();
     // Running estimate of per-hop batch latency for adaptive polling,
     // seeded from the sampling-profile expectation and refined with an
     // exponential moving average of observed batches (the sampled
@@ -1042,16 +1153,18 @@ fn run_query_sink<S: TraceSink>(
     // do not depend on query execution order.
     let mut batch_ewma: f64 = polling.expected_batch_latency(1) as f64;
 
-    let trace = &workload.traces[qi];
-    let query = &workload.queries[qi];
+    let trace = &dev.workload.traces[qi];
+    let query = &dev.workload.queries[qi];
     let mut clock = mem.now();
     let mut bd = QueryBreakdown::default();
     // Attribution clock: advances only with `bd` increments, so the
     // emitted spans partition `[0, bd.total())` exactly.
     let mut att: u64 = 0;
     let mut uploaded = vec![false; config.ndp_units()];
+    let mut tasks_per_rank = vec![0usize; config.ndp_units()];
+    let mut subs: Vec<SubTask> = Vec::new();
 
-    if let Some(eng) = engine {
+    if let Some(eng) = &dev.engine {
         sink.event(
             0,
             EventKind::EtPlan {
@@ -1085,117 +1198,56 @@ fn run_query_sink<S: TraceSink>(
             continue;
         }
 
-        // Per-eval fetch plans.
-        struct EvalPlanned {
-            id: usize,
-            lines_by_placement: Vec<(usize, usize)>, // (rank, lines)
-            backup: usize,
-        }
-        let mut planned: Vec<EvalPlanned> = Vec::with_capacity(hop.evals.len());
+        // Evaluate every comparison and queue its fetches.
+        subs.clear();
         let mut resumed = false;
         for e in &hop.evals {
-            let placements = if replicas.contains(e.id) {
-                partitioner.placement_in_group(e.id, loads.least_loaded_group())
-            } else {
-                partitioner.placement(e.id)
+            let placements = dev.placement(e.id, &loads);
+            let mut ob = SinkEtObserver {
+                sink: &mut *sink,
+                cycle: att,
             };
-            let mut lines_by_placement = Vec::with_capacity(placements.len());
-            let mut backup = 0usize;
-            let mut pruned = false;
-            if placements.len() == 1 || !design.is_ndp() {
-                // Whole vector evaluated in one place (CPU designs
-                // always see the whole vector).
-                let (lines, bk, pr) = match &engine {
-                    None => (natural_lines, 0, false),
-                    Some(eng) => {
-                        let mut ob = SinkEtObserver {
-                            sink: &mut *sink,
-                            cycle: att,
-                        };
-                        let c =
-                            eng.evaluate_obs(e.id, query, e.threshold, &mut et_scratch, &mut ob);
-                        (c.lines, c.backup_lines, c.pruned)
-                    }
-                };
-                pruned = pr;
-                backup = bk;
-                let rank = placements[0].rank;
-                lines_by_placement.push((rank, lines));
-            } else {
-                // Vertical sub-vectors: local ET with proportional
-                // threshold shares, aggregated soundly by the host
-                // (see `etplan`).
-                match &engine {
-                    None => {
-                        for p in &placements {
-                            let lines = (p.dims.len() * elem_bytes).div_ceil(64);
-                            lines_by_placement.push((p.rank, lines));
-                        }
-                    }
-                    Some(eng) => {
-                        let chunks: Vec<std::ops::Range<usize>> =
-                            placements.iter().map(|p| p.dims.clone()).collect();
-                        let mut ob = SinkEtObserver {
-                            sink: &mut *sink,
-                            cycle: att,
-                        };
-                        let m = crate::etplan::evaluate_chunked_obs(
-                            eng,
-                            e.id,
-                            query,
-                            &chunks,
-                            e.threshold,
-                            &mut et_scratch,
-                            &mut ob,
-                        );
-                        pruned = m.pruned;
-                        backup = m.backup_lines;
-                        resumed |= m.resumed;
-                        for (p, l) in placements.iter().zip(&m.lines) {
-                            lines_by_placement.push((p.rank, *l));
-                        }
-                    }
-                }
-            }
-            let total: usize = lines_by_placement.iter().map(|&(_, l)| l).sum::<usize>() + backup;
+            dev.evaluate(e.id, query, e.threshold, &placements, &mut scratch, &mut ob);
+            let m = &scratch.eval;
+            let fetched = m.lines.iter().sum::<usize>() as u64;
             if e.accepted {
-                qs.effectual_lines += (total - backup) as u64;
+                qs.effectual_lines += fetched;
             } else {
-                qs.ineffectual_lines += (total - backup) as u64;
+                qs.ineffectual_lines += fetched;
             }
-            qs.backup_lines += backup as u64;
+            qs.backup_lines += m.backup_lines as u64;
             qs.total_evals += 1;
-            if pruned {
-                qs.pruned_evals += 1;
-            }
-            qs.ndp_compute_lines += total as u64;
-            for &(rank, lines) in &lines_by_placement {
-                loads.add(rank, lines as u64);
-            }
-            planned.push(EvalPlanned {
-                id: e.id,
-                lines_by_placement,
-                backup,
-            });
+            qs.pruned_evals += u64::from(m.pruned);
+            qs.ndp_compute_lines += fetched + m.backup_lines as u64;
+            resumed |= m.resumed;
+            dev.push_subs(
+                e.id,
+                &placements,
+                &m.lines,
+                m.backup_lines,
+                &mut loads,
+                &mut subs,
+            );
         }
-        if design.is_ndp() {
+        if dev.design.is_ndp() {
             // Offload: upload query to first-touched ranks, then
             // set-search writes (≤ 8 tasks each).
-            let mut tasks_per_rank: HashMap<usize, usize> = HashMap::new();
-            for p in &planned {
-                for &(rank, _) in &p.lines_by_placement {
-                    *tasks_per_rank.entry(rank).or_insert(0) += 1;
-                }
+            tasks_per_rank.fill(0);
+            for s in &subs {
+                tasks_per_rank[s.rank] += 1;
             }
             // §5.2: set-search is issued before set-query, so the
             // NDP unit starts fetching the search vector while the
             // query uploads — the upload overlaps the batch below.
             let mut offload_cpu = 0u64;
             let mut upload_cpu = 0u64;
-            for (&rank, &tasks) in &tasks_per_rank {
+            for (rank, &tasks) in tasks_per_rank.iter().enumerate() {
+                if tasks == 0 {
+                    continue;
+                }
                 if !uploaded[rank] {
                     uploaded[rank] = true;
-                    upload_cpu += cpu.query_upload_cycles(query_bytes);
+                    upload_cpu += cpu.query_upload_cycles(dev.query_bytes);
                 }
                 offload_cpu += cpu.offload_cycles(tasks);
             }
@@ -1206,25 +1258,7 @@ fn run_query_sink<S: TraceSink>(
             bd.offload += offload_mem;
             span_adv(sink, &mut att, Phase::Offload, offload_mem);
 
-            // Build sub-tasks and execute.
-            let mut subs: Vec<SubTask> = Vec::new();
-            for p in &planned {
-                for (pi, &(rank, lines)) in p.lines_by_placement.iter().enumerate() {
-                    let base =
-                        (p.id as u64) * (full_lines as u64 + natural_lines as u64 + 2) + pi as u64;
-                    subs.push(SubTask::new(
-                        rank,
-                        lines + if pi == 0 { p.backup } else { 0 },
-                        base,
-                        ndp_compute_delay,
-                    ));
-                }
-            }
-            let rb0 = if sink.enabled() {
-                Some(mem.stats().clone())
-            } else {
-                None
-            };
+            let rb0 = sink.enabled().then(|| mem.stats().clone());
             let t0 = clock.max(mem.now());
             // Batch events are rebased to the attribution clock at the
             // start of the dist_comp span emitted below.
@@ -1245,9 +1279,7 @@ fn run_query_sink<S: TraceSink>(
                 finish += extra;
                 bd.offload += extra;
                 upload_extra = extra;
-                if mem.now() < finish && !mem.busy() {
-                    mem.fast_forward_to(finish).expect("idle fast-forward");
-                }
+                idle_until(&mut mem, finish);
             }
             // A residual round is an extra host round-trip: the host
             // polls the partial bounds, re-offloads to the terminated
@@ -1255,9 +1287,7 @@ fn run_query_sink<S: TraceSink>(
             if resumed {
                 finish +=
                     cpu.to_mem_cycles(cpu.offload_cycles(8) + cpu.poll_cycles(), mem_clock) + 200;
-                if mem.now() < finish && !mem.busy() {
-                    mem.fast_forward_to(finish).expect("idle fast-forward");
-                }
+                idle_until(&mut mem, finish);
                 sink.event(att_batch + (finish - t0), EventKind::EtResumed);
             }
             bd.dist_comp += finish - t0;
@@ -1269,8 +1299,7 @@ fn run_query_sink<S: TraceSink>(
                 drain_dram_commands(&mut mem, sink, att_batch, t0);
             }
             if let Some(s0) = rb0 {
-                let s1 = mem.stats().clone();
-                row_buffer_delta(sink, att, &s0, &s1);
+                row_buffer_delta(sink, att, &s0, mem.stats());
             }
 
             // Polling. Tasks on one rank occupy distinct QSHRs and
@@ -1308,9 +1337,7 @@ fn run_query_sink<S: TraceSink>(
                 },
             );
             clock = after_poll;
-            if mem.now() < clock && !mem.busy() {
-                mem.fast_forward_to(clock).expect("idle fast-forward");
-            }
+            idle_until(&mut mem, clock);
             clock = clock.max(mem.now());
         } else {
             // CPU path: comparisons execute serially on one core;
@@ -1325,23 +1352,17 @@ fn run_query_sink<S: TraceSink>(
             let hop_start = clock;
             let att_hop = att;
             let mem_hop0 = mem.now();
-            let rb0 = if sink.enabled() {
-                Some(mem.stats().clone())
-            } else {
-                None
-            };
+            let rb0 = sink.enabled().then(|| mem.stats().clone());
             let llc_mem = cpu.to_mem_cycles(60, mem_clock);
             let burst = config.dram.timing.burst_cycles;
             let contention = cpu.cores as u64 * burst / config.dram.channels as u64;
-            for p in &planned {
-                let lines: usize =
-                    p.lines_by_placement.iter().map(|&(_, l)| l).sum::<usize>() + p.backup;
+            // CPU designs evaluate whole vectors: one sub-task each.
+            for s in &subs {
+                let lines = s.lines_left;
                 if lines > 0 {
-                    if mem.now() < clock && !mem.busy() {
-                        mem.fast_forward_to(clock).expect("idle fast-forward");
-                    }
+                    idle_until(&mut mem, clock);
                     let start = mem.now();
-                    let base_line = (p.id as u64) * (full_lines as u64 + natural_lines as u64 + 2);
+                    let base_line = s.next_line;
                     for l in 0..lines as u64 {
                         let addr = (base_line + l) * 64;
                         let req = Request::new(req_base, AccessKind::Read, addr, Port::Host);
@@ -1359,9 +1380,7 @@ fn run_query_sink<S: TraceSink>(
                     let drained = mem.now() - start;
                     let bw_floor = lines as u64 * contention;
                     clock += drained.max(bw_floor) + llc_mem;
-                    if mem.now() < clock && !mem.busy() {
-                        mem.fast_forward_to(clock).expect("idle fast-forward");
-                    }
+                    idle_until(&mut mem, clock);
                     clock = clock.max(mem.now());
                 }
                 let c = cpu.distance_compute_cycles(lines.max(1));
@@ -1374,8 +1393,7 @@ fn run_query_sink<S: TraceSink>(
                 drain_dram_commands(&mut mem, sink, att_hop, mem_hop0);
             }
             if let Some(s0) = rb0 {
-                let s1 = mem.stats().clone();
-                row_buffer_delta(sink, att, &s0, &s1);
+                row_buffer_delta(sink, att, &s0, mem.stats());
             }
         }
     }
@@ -1406,12 +1424,13 @@ fn run_query_sink<S: TraceSink>(
 
 /// Translate the sampled termination histogram (bit positions) into a
 /// per-comparison line-count histogram under the design's schedule.
-fn line_histogram(plan: &DesignPlan, workload: &Workload, natural_lines: usize) -> Vec<(u64, f64)> {
+fn line_histogram(dev: &DeviceModel) -> Vec<(u64, f64)> {
+    let workload = dev.workload;
     let dim = workload.data.dim();
-    match &plan.et {
-        None => vec![(natural_lines as u64, 1.0)],
-        Some(et) => {
-            let sched = &et.schedule;
+    match &dev.engine {
+        None => vec![(dev.natural_lines as u64, 1.0)],
+        Some(eng) => {
+            let sched = &eng.config().schedule;
             let cumulative = sched.cumulative_bits();
             let prefix = sched.prefix_len();
             let mut hist: HashMap<u64, f64> = HashMap::new();
@@ -1445,7 +1464,10 @@ fn line_histogram(plan: &DesignPlan, workload: &Workload, natural_lines: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::IndexKind;
+    use ansmet_dram::DramConfig;
     use ansmet_vecdata::SynthSpec;
+    use proptest::prelude::*;
 
     fn small_workload() -> Workload {
         Workload::prepare(&SynthSpec::sift().scaled(500, 2), 10, Some(40))
@@ -1523,21 +1545,67 @@ mod tests {
         assert!(rec.metrics.counter("replay.evals") > 0);
     }
 
+    /// Every NDP batch of these replays also runs through the per-batch
+    /// wheel-vs-tick check, DRAM command log included.
     #[test]
     fn dram_command_trace_events_present_when_enabled() {
-        let wl = small_workload();
+        let hnsw = small_workload();
+        let ivf = Workload::prepare_with_index(
+            &SynthSpec::gist().scaled(300, 3),
+            10,
+            Some(20),
+            IndexKind::Ivf,
+        );
         let cfg = SystemConfig::default();
         let opts = TraceOptions {
             dram_commands: true,
             ..TraceOptions::default()
         };
-        let (_, rec) = run_design_traced(Design::NdpEt, &wl, &cfg, &opts);
-        let has_cmd = rec.queries.iter().any(|t| {
-            t.events
-                .iter()
-                .any(|e| matches!(e.kind, ansmet_obs::EventKind::DramCommand { .. }))
-        });
-        assert!(has_cmd, "expected DRAM command events");
+        for wl in [&hnsw, &ivf] {
+            for design in [Design::NdpBase, Design::NdpEt, Design::NdpEtOpt] {
+                let (traced, rec) = run_design_traced(design, wl, &cfg, &opts);
+                assert_eq!(traced, run_design(design, wl, &cfg), "{design:?}");
+                let has_cmd = rec.queries.iter().any(|t| {
+                    t.events
+                        .iter()
+                        .any(|e| matches!(e.kind, ansmet_obs::EventKind::DramCommand { .. }))
+                });
+                assert!(has_cmd, "{design:?}: expected DRAM command events");
+            }
+        }
+    }
+
+    proptest! {
+        /// The wheel and tick drivers agree on random batches: ranks on
+        /// every channel, zero-line sub-tasks, any QSHR count, request
+        /// queues shallow enough to back-pressure, and a second batch
+        /// that starts after an idle gap on open rows and a running
+        /// request-id cursor.
+        fn wheel_matches_tick_on_random_batches(
+            raw in proptest::collection::vec(0u64..u64::MAX, 1..96),
+            qshrs in 1usize..=QSHRS_PER_UNIT,
+            queue_depth in 1usize..=12,
+            gap in 1u64..500,
+        ) {
+            let mut cfg = DramConfig::ddr5_4800().with_total_ranks(8);
+            cfg.queue_depth = queue_depth;
+            let mut mem = MemorySystem::new(cfg);
+            mem.enable_command_trace();
+            let mut req_base = 0;
+            let (first, second) = raw.split_at(raw.len() / 2);
+            for batch in [first, second] {
+                let mut subs: Vec<SubTask> = batch
+                    .iter()
+                    .map(|&r| {
+                        let lines = (r >> 8) as usize % 9;
+                        SubTask::new((r % 8) as usize, lines, (r >> 16) % 2048, 1 + (r >> 32) % 6)
+                    })
+                    .collect();
+                let t0 = mem.now() + gap;
+                // Panics unless both drivers agree on every observable.
+                run_ndp_batch(&mut mem, &mut subs, qshrs, &mut req_base, t0, &mut NoopSink, gap);
+            }
+        }
     }
 
     #[test]

@@ -1,58 +1,37 @@
-//! Cycle-for-cycle equivalence of the two NDP batch time-stepping
-//! drivers: the event-wheel scheduler (production) and the per-cycle
-//! tick reference. Full-pipeline runs — HNSW and IVF traversal, early
-//! termination on and off, fault recovery under serving — must produce
-//! identical results and identical flight recordings (including the
-//! DRAM command stream) under either driver.
+//! Full pipelines under the per-batch driver check. With the
+//! `dual-driver` feature on, every NDP batch is also replayed on the
+//! per-cycle tick reference and must match the event-wheel driver on
+//! every observable, sink events and the DRAM command stream included.
+//! HNSW and IVF traversal, early termination on and off, and fault
+//! recovery under serving each run once:
+//!
+//! `cargo test --release -p ansmet --features dual-driver --test dual_driver`
+//!
+//! Without the feature the pipelines run on the wheel alone.
 
-use std::sync::Mutex;
-
-use ansmet::obs::FlightRecorder;
+use ansmet::obs::EventKind;
 use ansmet::serve::{run_serve, FaultProfile, ServeConfig};
 use ansmet::sim::workload::IndexKind;
-use ansmet::sim::{
-    run_design_traced, set_batch_driver, BatchDriver, Design, RunResult, SystemConfig,
-    TraceOptions, Workload,
-};
+use ansmet::sim::{run_design_traced, Design, SystemConfig, TraceOptions, Workload};
 use ansmet::vecdata::SynthSpec;
 use ansmet_faults::FaultRates;
 use ansmet_host::RetryPolicy;
 
-/// The driver selector is process-global; tests that flip it must not
-/// interleave.
-static DRIVER_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` once per driver and return both outcomes, restoring the
-/// default (wheel) driver afterwards.
-fn under_both_drivers<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    let _guard = DRIVER_LOCK.lock().expect("driver lock poisoned");
-    set_batch_driver(BatchDriver::Wheel);
-    let wheel = f();
-    set_batch_driver(BatchDriver::Tick);
-    let tick = f();
-    set_batch_driver(BatchDriver::Wheel);
-    (wheel, tick)
-}
-
-/// Traced run (DRAM commands on) so the assertion covers the exact
-/// command stream, not just aggregate cycle counts.
-fn traced(design: Design, wl: &Workload, cfg: &SystemConfig) -> (RunResult, FlightRecorder) {
+/// Traced runs (DRAM commands on), so the check covers the command log.
+fn replay_checked(wl: &Workload, designs: &[Design]) {
+    let cfg = SystemConfig::default();
     let opts = TraceOptions {
         dram_commands: true,
         ..TraceOptions::default()
     };
-    run_design_traced(design, wl, cfg, &opts)
-}
-
-fn assert_drivers_agree(wl: &Workload, designs: &[Design]) {
-    let cfg = SystemConfig::default();
     for &design in designs {
-        let ((rw, recw), (rt, rect)) = under_both_drivers(|| traced(design, wl, &cfg));
-        assert_eq!(rw, rt, "{design:?}: results diverged between drivers");
-        assert_eq!(
-            recw, rect,
-            "{design:?}: flight recording (command stream) diverged"
-        );
+        let (_, rec) = run_design_traced(design, wl, &cfg, &opts);
+        let has_cmd = rec
+            .queries
+            .iter()
+            .flat_map(|t| &t.events)
+            .any(|e| matches!(e.kind, EventKind::DramCommand { .. }));
+        assert!(has_cmd, "{design:?}: no DRAM commands traced");
     }
 }
 
@@ -60,7 +39,7 @@ fn assert_drivers_agree(wl: &Workload, designs: &[Design]) {
 #[test]
 fn hnsw_pipeline_drivers_agree() {
     let wl = Workload::prepare(&SynthSpec::sift().scaled(700, 5), 10, Some(40));
-    assert_drivers_agree(&wl, &[Design::NdpBase, Design::NdpEtOpt, Design::NdpEtDual]);
+    replay_checked(&wl, &[Design::NdpBase, Design::NdpEtOpt, Design::NdpEtDual]);
 }
 
 /// IVF traversal exercises centroid hops and a different offload shape.
@@ -72,11 +51,11 @@ fn ivf_pipeline_drivers_agree() {
         Some(20),
         IndexKind::Ivf,
     );
-    assert_drivers_agree(&wl, &[Design::NdpBase, Design::NdpEtOpt]);
+    replay_checked(&wl, &[Design::NdpBase, Design::NdpEtOpt]);
 }
 
 /// The serving engine (wave model + fault recovery) sits on the same
-/// batch driver; its full report must not depend on the driver either.
+/// batch driver.
 #[test]
 fn serving_with_faults_drivers_agree() {
     let wl = Workload::prepare(&SynthSpec::sift().scaled(800, 4), 10, Some(40));
@@ -87,7 +66,6 @@ fn serving_with_faults_drivers_agree() {
             seed: 0xFA11,
             retry: RetryPolicy::default_ndp(),
         });
-    let (rw, rt) = under_both_drivers(|| run_serve(&wl, &sys, &serve));
-    assert_eq!(rw, rt, "serve report diverged between drivers");
-    assert_eq!(rw.to_json(), rt.to_json());
+    let report = run_serve(&wl, &sys, &serve);
+    assert!(report.batches > 0 && report.recovery.is_some());
 }
