@@ -11,14 +11,15 @@
 use std::fmt::Write as _;
 
 use ansmet_bench::{
-    provenance_fields, run_experiment_with_artifacts, Scale, EXPERIMENTS, SERVING_ARTIFACT,
+    experiment, provenance_fields, Experiment, Scale, Suite, EXPERIMENTS, SERVING_ARTIFACT,
 };
 
 fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
     format!(
         "usage: experiments [--quick|--full] [--threads N] [--json FILE] [names...]\n\
          experiments: {}",
-        EXPERIMENTS.join(" ")
+        names.join(" ")
     )
 }
 
@@ -109,66 +110,64 @@ fn main() {
             name => names.push(name.to_string()),
         }
     }
-    ansmet_sim::set_default_threads(threads);
+    if names.is_empty() {
+        names = EXPERIMENTS.iter().map(|(n, _)| n.to_string()).collect();
+    }
     // Validate every requested name up front so a typo fails fast instead
     // of surfacing after minutes of earlier experiments.
-    let unknown: Vec<&String> = names
-        .iter()
-        .filter(|n| !EXPERIMENTS.contains(&n.as_str()))
-        .collect();
-    if !unknown.is_empty() {
-        for n in &unknown {
-            eprintln!("error: unknown experiment '{n}'");
+    let mut runs: Vec<(String, Experiment)> = Vec::with_capacity(names.len());
+    let mut unknown = false;
+    for name in names {
+        match experiment(&name) {
+            Some(f) => runs.push((name, f)),
+            None => {
+                eprintln!("error: unknown experiment '{name}'");
+                unknown = true;
+            }
         }
+    }
+    if unknown {
         eprintln!("{}", usage());
         std::process::exit(2);
-    }
-    if names.is_empty() {
-        names = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
     // When `serve` is the only requested experiment, `--json` names its
     // artifact directly (`experiments serve --json BENCH_serving.json`);
     // otherwise the artifact goes to its default path and `--json` keeps
     // meaning the timing report.
-    let serve_only = names.len() == 1 && names[0] == "serve";
-    let mut records: Vec<TimingRecord> = Vec::with_capacity(names.len());
-    for name in &names {
+    let serve_only = runs.len() == 1 && runs[0].0 == "serve";
+    // One suite for the whole invocation: experiments share its thread
+    // count and its workload and replay memos.
+    let suite = Suite::new(scale, threads);
+    let mut records: Vec<TimingRecord> = Vec::with_capacity(runs.len());
+    for (name, run) in runs {
         let t0 = std::time::Instant::now();
         let q0 = ansmet_sim::queries_simulated();
         let c0 = ansmet_sim::cycles_simulated();
         let k0 = ansmet_sim::cycles_skipped();
-        match run_experiment_with_artifacts(name, scale) {
-            Some((report, artifacts)) => {
-                println!("{report}");
-                let seconds = t0.elapsed().as_secs_f64();
-                eprintln!("[{name} finished in {seconds:.1}s]");
-                records.push(TimingRecord {
-                    name: name.clone(),
-                    seconds,
-                    queries: ansmet_sim::queries_simulated() - q0,
-                    cycles_simulated: ansmet_sim::cycles_simulated() - c0,
-                    cycles_skipped: ansmet_sim::cycles_skipped() - k0,
-                });
-                for a in artifacts {
-                    // `experiments serve --json FILE` redirects the serving
-                    // artifact; every other artifact goes to its default path.
-                    let path = match (&json_path, serve_only, a.path) {
-                        (Some(p), true, SERVING_ARTIFACT) => p.clone(),
-                        _ => a.path.to_string(),
-                    };
-                    if let Err(e) = std::fs::write(&path, a.body) {
-                        eprintln!("error: cannot write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("[{name} artifact written to {path}]");
-                }
+        let (report, artifacts) = run(&suite);
+        println!("{report}");
+        let seconds = t0.elapsed().as_secs_f64();
+        eprintln!("[{name} finished in {seconds:.1}s]");
+        for a in artifacts {
+            // `experiments serve --json FILE` redirects the serving
+            // artifact; every other artifact goes to its default path.
+            let path = match (&json_path, serve_only, a.path) {
+                (Some(p), true, SERVING_ARTIFACT) => p.clone(),
+                _ => a.path.to_string(),
+            };
+            if let Err(e) = std::fs::write(&path, a.body) {
+                eprintln!("error: cannot write {path}: {e}");
+                std::process::exit(1);
             }
-            None => {
-                // Unreachable after validation, but keep the exit honest.
-                eprintln!("error: unknown experiment '{name}'\n{}", usage());
-                std::process::exit(2);
-            }
+            eprintln!("[{name} artifact written to {path}]");
         }
+        records.push(TimingRecord {
+            name,
+            seconds,
+            queries: ansmet_sim::queries_simulated() - q0,
+            cycles_simulated: ansmet_sim::cycles_simulated() - c0,
+            cycles_skipped: ansmet_sim::cycles_skipped() - k0,
+        });
     }
     if let Some(path) = json_path {
         if serve_only {

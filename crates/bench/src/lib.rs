@@ -5,37 +5,12 @@
 //! (distance computation, lower bounds, layout transform, the DRAM
 //! simulator, and HNSW search).
 
-pub use ansmet_sim::experiment::Scale;
+use ansmet_sim::experiment as e;
+pub use ansmet_sim::experiment::{Scale, Suite};
 
 pub mod ops;
 
 pub use ops::ops_experiment;
-
-/// All experiment names accepted by the `experiments` binary.
-pub const EXPERIMENTS: &[&str] = &[
-    "table2",
-    "fig1",
-    "fig3",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "table3",
-    "table4",
-    "table5",
-    "loadbal",
-    "ablation",
-    "faults",
-    "serve",
-    "resilience",
-    "trace",
-    "freshness",
-    "ops",
-    "cluster",
-];
 
 /// Default artifact file written by the `serve` experiment.
 pub const SERVING_ARTIFACT: &str = "BENCH_serving.json";
@@ -63,128 +38,88 @@ pub struct Artifact {
     pub body: String,
 }
 
-/// Run one experiment by name, returning its text report plus any
-/// artifacts it wants written (`serve` and `resilience` emit their
-/// report JSON; `trace` emits a Perfetto trace and a metrics snapshot;
-/// everything else emits none). BENCH JSON artifacts carry a provenance
-/// header (git revision + config fingerprint).
-///
-/// Returns `None` for an unknown name.
-pub fn run_experiment_with_artifacts(name: &str, scale: Scale) -> Option<(String, Vec<Artifact>)> {
-    match name {
-        "serve" => {
-            let (text, json) = ansmet_serve::serve_experiment(scale);
-            Some((
-                text,
-                vec![Artifact {
-                    path: SERVING_ARTIFACT,
-                    body: with_provenance(&json),
-                }],
-            ))
-        }
-        "resilience" => {
-            let (text, json) = ansmet_serve::resilience_experiment(scale);
-            Some((
-                text,
-                vec![Artifact {
-                    path: RESILIENCE_ARTIFACT,
-                    body: with_provenance(&json),
-                }],
-            ))
-        }
-        "freshness" => {
-            let (text, json) = ansmet_freshness::freshness_experiment(scale);
-            Some((
-                text,
-                vec![Artifact {
-                    path: FRESHNESS_ARTIFACT,
-                    body: with_provenance(&json),
-                }],
-            ))
-        }
-        "cluster" => {
-            let (text, json) = ansmet_cluster::cluster_experiment(scale);
-            Some((
-                text,
-                vec![Artifact {
-                    path: CLUSTER_ARTIFACT,
-                    body: with_provenance(&json),
-                }],
-            ))
-        }
-        "ops" => {
-            let (text, json, expo) = ops_experiment(scale);
-            Some((
-                text,
-                vec![
-                    Artifact {
-                        path: OPS_ARTIFACT,
-                        body: with_provenance(&json),
-                    },
-                    Artifact {
-                        path: OPS_EXPOSITION_ARTIFACT,
-                        body: expo,
-                    },
-                ],
-            ))
-        }
-        "trace" => {
-            let bundle = ansmet_sim::experiment::trace_bundle(scale);
-            Some((
-                bundle.report,
-                vec![
-                    Artifact {
-                        path: TRACE_ARTIFACT,
-                        body: bundle.perfetto_json,
-                    },
-                    Artifact {
-                        path: METRICS_ARTIFACT,
-                        body: with_provenance(&bundle.metrics_json),
-                    },
-                ],
-            ))
-        }
-        _ => run_experiment(name, scale).map(|text| (text, Vec::new())),
-    }
+/// An experiment: its text report plus the artifacts it wants written.
+pub type Experiment = fn(&Suite) -> (String, Vec<Artifact>);
+
+/// Every experiment the `experiments` binary runs, in suite order. `serve`,
+/// `resilience`, `freshness` and `cluster` write their report JSON; `ops`
+/// writes its JSON and a Prometheus exposition; `trace` writes a Perfetto
+/// trace and a metrics snapshot; everything else writes no artifact. BENCH
+/// JSON artifacts carry a provenance header (git revision + config
+/// fingerprint).
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table2", |s| text(e::table2(s.scale))),
+    ("fig1", |s| text(e::fig1(s))),
+    ("fig3", |s| text(e::fig3(s.scale))),
+    ("fig6", |s| text(e::fig6(s))),
+    ("fig7", |s| text(e::fig7(s))),
+    ("fig8", |s| text(e::fig8(s))),
+    ("fig9", |s| text(e::fig9(s))),
+    ("fig10", |s| text(e::fig10(s))),
+    ("fig11", |s| text(e::fig11(s))),
+    ("fig12", |s| text(e::fig12(s))),
+    ("table3", |s| text(e::table3(s))),
+    ("table4", |s| text(e::table4(s))),
+    ("table5", |s| text(e::table5(s))),
+    ("loadbal", |s| text(e::loadbal(s))),
+    ("ablation", |s| text(e::ablation(s))),
+    ("faults", |s| text(e::faults(s))),
+    ("serve", |s| {
+        let (text, json) = ansmet_serve::serve_experiment(s);
+        (text, vec![bench(SERVING_ARTIFACT, &json)])
+    }),
+    ("resilience", |s| {
+        let (text, json) = ansmet_serve::resilience_experiment(s);
+        (text, vec![bench(RESILIENCE_ARTIFACT, &json)])
+    }),
+    ("trace", |s| {
+        let b = e::trace_bundle(s);
+        let trace = Artifact {
+            path: TRACE_ARTIFACT,
+            body: b.perfetto_json,
+        };
+        (
+            b.report,
+            vec![trace, bench(METRICS_ARTIFACT, &b.metrics_json)],
+        )
+    }),
+    ("freshness", |s| {
+        let (text, json) = ansmet_freshness::freshness_experiment(s.scale);
+        (text, vec![bench(FRESHNESS_ARTIFACT, &json)])
+    }),
+    ("ops", |s| {
+        let (text, json, expo) = ops_experiment(s);
+        let expo = Artifact {
+            path: OPS_EXPOSITION_ARTIFACT,
+            body: expo,
+        };
+        (text, vec![bench(OPS_ARTIFACT, &json), expo])
+    }),
+    ("cluster", |s| {
+        let (text, json) = ansmet_cluster::cluster_experiment(s.scale);
+        (text, vec![bench(CLUSTER_ARTIFACT, &json)])
+    }),
+];
+
+/// The experiment called `name`, if there is one.
+pub fn experiment(name: &str) -> Option<Experiment> {
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, f)| f)
 }
 
-/// Run one experiment by name at the given scale.
-///
-/// Returns `None` for an unknown name.
-pub fn run_experiment(name: &str, scale: Scale) -> Option<String> {
-    use ansmet_sim::experiment as e;
-    let out = match name {
-        "table2" => e::table2(scale),
-        "fig1" => e::fig1(scale),
-        "fig3" => e::fig3(scale),
-        "fig6" => {
-            let ks: &[usize] = match scale {
-                Scale::Quick => &[10],
-                Scale::Full => &[1, 5, 10],
-            };
-            e::fig6(scale, ks)
-        }
-        "fig7" => e::fig7(scale),
-        "fig8" => e::fig8(scale),
-        "fig9" => e::fig9(scale),
-        "fig10" => e::fig10(scale),
-        "fig11" => e::fig11(scale),
-        "fig12" => e::fig12(scale),
-        "table3" => e::table3(scale),
-        "table4" => e::table4(scale),
-        "table5" => e::table5(scale),
-        "loadbal" => e::loadbal(scale),
-        "ablation" => e::ablation(scale),
-        "faults" => e::faults(scale),
-        "serve" => ansmet_serve::serve_experiment(scale).0,
-        "resilience" => ansmet_serve::resilience_experiment(scale).0,
-        "freshness" => ansmet_freshness::freshness_experiment(scale).0,
-        "ops" => ops_experiment(scale).0,
-        "cluster" => ansmet_cluster::cluster_experiment(scale).0,
-        "trace" => e::trace(scale),
-        _ => return None,
-    };
-    Some(out)
+/// A text-only experiment result.
+fn text(report: String) -> (String, Vec<Artifact>) {
+    (report, Vec::new())
+}
+
+/// A BENCH JSON artifact with its provenance header.
+fn bench(path: &'static str, json: &str) -> Artifact {
+    Artifact {
+        path,
+        body: with_provenance(json),
+    }
 }
 
 /// The git revision of the working tree (`git describe --always
@@ -203,7 +138,8 @@ pub fn git_revision() -> String {
 
 /// FNV-1a fingerprint of the default [`SystemConfig`] — changes whenever
 /// any simulated parameter changes, so artifacts record which modeled
-/// machine produced them.
+/// machine produced them. It hashes the default config, not
+/// [`Suite::config`], so it is the same for every `--threads` value.
 ///
 /// [`SystemConfig`]: ansmet_sim::SystemConfig
 pub fn config_fingerprint() -> u64 {
@@ -237,29 +173,32 @@ mod tests {
 
     #[test]
     fn unknown_experiment_is_none() {
-        assert!(run_experiment("fig99", Scale::Quick).is_none());
-        assert!(run_experiment_with_artifacts("fig99", Scale::Quick).is_none());
+        assert!(experiment("fig99").is_none());
     }
 
     #[test]
     fn experiment_list_is_complete() {
         assert_eq!(EXPERIMENTS.len(), 22);
-        assert!(EXPERIMENTS.contains(&"resilience"));
-        assert!(EXPERIMENTS.contains(&"freshness"));
-        assert!(EXPERIMENTS.contains(&"ops"));
-        assert!(EXPERIMENTS.contains(&"cluster"));
+        for name in ["resilience", "freshness", "ops", "cluster", "trace"] {
+            assert!(experiment(name).is_some(), "{name} missing");
+        }
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
     }
 
     #[test]
     fn serve_and_trace_emit_artifacts_and_others_do_not() {
-        let (text, artifacts) = run_experiment_with_artifacts("serve", Scale::Quick).unwrap();
+        let suite = Suite::new(Scale::Quick, 1);
+        let (text, artifacts) = experiment("serve").unwrap()(&suite);
         assert!(text.contains("serving"));
         assert_eq!(artifacts.len(), 1);
         assert_eq!(artifacts[0].path, SERVING_ARTIFACT);
         assert!(artifacts[0].body.contains("\"experiment\": \"serve\""));
         assert!(artifacts[0].body.contains("\"git_revision\""));
 
-        let (text, artifacts) = run_experiment_with_artifacts("trace", Scale::Quick).unwrap();
+        let (text, artifacts) = experiment("trace").unwrap()(&suite);
         assert!(text.contains("cycle attribution"));
         assert_eq!(artifacts.len(), 2);
         assert_eq!(artifacts[0].path, TRACE_ARTIFACT);
@@ -267,7 +206,7 @@ mod tests {
         assert_eq!(artifacts[1].path, METRICS_ARTIFACT);
         assert!(artifacts[1].body.contains("\"config_fingerprint\""));
 
-        let (_, none) = run_experiment_with_artifacts("table2", Scale::Quick).unwrap();
+        let (_, none) = experiment("table2").unwrap()(&suite);
         assert!(none.is_empty());
     }
 

@@ -25,19 +25,17 @@
 use std::fmt::Write as _;
 
 use ansmet_faults::StormPlan;
-use ansmet_freshness::{
-    run_churn, run_churn_with_sink, ChurnConfig, EpochConfig, LayoutArtifacts, MutableIndex,
-    UpdateTenantSpec,
-};
+use ansmet_freshness::{churn_config, churn_state, run_churn, run_churn_with_sink, ChurnConfig};
 use ansmet_host::RetryPolicy;
 use ansmet_obs::{ForensicCause, OpsConfig, OpsPlane, OpsReport, SloSpec};
 use ansmet_serve::{
-    generate_arrivals, ops_serve_config, run_serve, run_serve_with_sink, ArrivalProcess,
-    MaintenancePlan, ResilienceConfig, StormProfile, TenantSpec,
+    generate_arrivals, ops_serve_config, run_serve, run_serve_with_sink, MaintenancePlan,
+    ResilienceConfig, StormProfile,
 };
-use ansmet_sim::experiment::Scale;
-use ansmet_sim::{saturated_capacity_qps, Design, SystemConfig, Workload};
-use ansmet_vecdata::{Dataset, SynthSpec};
+use ansmet_sim::experiment::{Scale, Suite};
+use ansmet_sim::workload::IndexKind;
+use ansmet_sim::{saturated_capacity_qps, Design, SystemConfig};
+use ansmet_vecdata::SynthSpec;
 
 /// One instrumented half of the scenario, distilled.
 struct HalfOutcome {
@@ -128,10 +126,11 @@ fn indent_tail(json: &str, pad: &str) -> String {
 
 /// The serve half: storm + resilience + maintenance through the plane.
 #[allow(clippy::too_many_lines)]
-fn serve_half(scale: Scale) -> (HalfOutcome, u64, u64, u64, MaintenancePlan) {
+fn serve_half(suite: &Suite) -> (HalfOutcome, u64, u64, u64, MaintenancePlan) {
+    let scale = suite.scale;
     let spec = scale.spec(SynthSpec::sift());
-    let wl = Workload::prepare_shared(&spec, 10, None);
-    let cfg = SystemConfig::default();
+    let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
+    let cfg = suite.config();
     let mem_clock = cfg.dram.clock_mhz;
     let queries = match scale {
         Scale::Quick => 60,
@@ -200,85 +199,25 @@ fn serve_half(scale: Scale) -> (HalfOutcome, u64, u64, u64, MaintenancePlan) {
     (outcome, storm_start, storm_end, slo_cycles, maintenance)
 }
 
-/// The churn half's configuration (the freshness experiment's stream
-/// shape, re-seeded for this scenario).
-fn churn_config(scale: Scale, mem_clock_mhz: u64) -> ChurnConfig {
-    let (reads, ops) = match scale {
-        Scale::Quick => (80, 60),
-        Scale::Full => (400, 300),
-    };
-    ChurnConfig {
-        seed: 0x0B5F,
-        mem_clock_mhz,
-        read_tenants: vec![
-            TenantSpec {
-                name: "interactive".into(),
-                weight: 4,
-                process: ArrivalProcess::Poisson { qps: 150_000.0 },
-                slo_cycles: 1_000_000,
-                queries: reads,
-            },
-            TenantSpec {
-                name: "bulk".into(),
-                weight: 1,
-                process: ArrivalProcess::Bursty {
-                    base_qps: 20_000.0,
-                    burst_qps: 120_000.0,
-                    period_cycles: 2_000_000,
-                    burst_frac: 0.2,
-                },
-                slo_cycles: 4_000_000,
-                queries: reads / 2,
-            },
-        ],
-        update_tenants: vec![UpdateTenantSpec {
-            name: "writer".into(),
-            weight: 2,
-            qps: 50_000.0,
-            ops,
-            delete_frac: 0.35,
-        }],
-        k: 10,
-        ef: 64,
-        queue_depth_limit: 128,
-        epoch: EpochConfig {
-            interval_cycles: 600_000,
-            conservative_headroom: 0.02,
-        },
-    }
-}
-
-/// Build the churn half's initial state: live index over 80 % of the
-/// dataset, the rest held out as the insert pool.
-fn churn_state(scale: Scale) -> (MutableIndex, LayoutArtifacts, Vec<Vec<f32>>, Vec<Vec<f32>>) {
-    let spec = scale.spec(SynthSpec::sift());
-    let (full_data, queries) = spec.generate();
-    let n = full_data.len();
-    let base_n = n - n / 5;
-    let base = Dataset::from_values(
-        full_data.name(),
-        full_data.dtype(),
-        full_data.metric(),
-        full_data.dim(),
-        (0..base_n)
-            .flat_map(|i| full_data.vector(i).to_vec())
-            .collect(),
-    );
-    let pending: Vec<Vec<f32>> = (base_n..n).map(|i| full_data.vector(i).to_vec()).collect();
-    let index = MutableIndex::build_hnsw(base, ansmet_index::HnswParams::quick(), 0xF5E5);
-    let layout = LayoutArtifacts::plan(&index, 0.01);
-    (index, layout, queries, pending)
-}
-
-/// The churn half: epochs pausing the device under a mixed stream.
+/// The churn half: the freshness experiment's churn scenario, re-seeded,
+/// with epochs pausing the device under a mixed stream.
 fn churn_half(scale: Scale) -> HalfOutcome {
-    let sys = SystemConfig::default();
-    let cfg = churn_config(scale, sys.dram.clock_mhz);
+    let mem_clock = SystemConfig::default().dram.clock_mhz;
+    let cfg = ChurnConfig {
+        seed: 0x0B5F,
+        ..churn_config(scale, mem_clock)
+    };
 
     // Untraced pass over fresh state derives the read-latency p99.9
     // threshold; the traced pass replays identical initial state.
-    let (mut idx, mut layout, queries, pending) = churn_state(scale);
-    let untraced = run_churn(&mut idx, &mut layout, &queries, &pending, &cfg);
+    let mut fresh = churn_state(scale);
+    let untraced = run_churn(
+        &mut fresh.index,
+        &mut fresh.layout,
+        &fresh.queries,
+        &fresh.pending,
+        &cfg,
+    );
     let tail_threshold = untraced.read_latency.quantile(0.999).max(1);
 
     let slo = SloSpec {
@@ -297,12 +236,12 @@ fn churn_half(scale: Scale) -> HalfOutcome {
         tail_threshold_cycles: tail_threshold,
         max_digests: 256,
     });
-    let (mut idx2, mut layout2, queries2, pending2) = churn_state(scale);
+    let mut again = churn_state(scale);
     let traced = run_churn_with_sink(
-        &mut idx2,
-        &mut layout2,
-        &queries2,
-        &pending2,
+        &mut again.index,
+        &mut again.layout,
+        &again.queries,
+        &again.pending,
         &cfg,
         &mut plane,
     );
@@ -314,11 +253,12 @@ fn churn_half(scale: Scale) -> HalfOutcome {
     }
 }
 
-/// Run the ops experiment at `scale`; returns `(text, json, exposition)`
-/// where `json` is the `BENCH_ops.json` artifact body and `exposition`
-/// is the Prometheus text dump of both halves' run totals.
-pub fn ops_experiment(scale: Scale) -> (String, String, String) {
-    let (serve, storm_start, storm_end, slo_cycles, maintenance) = serve_half(scale);
+/// Run the ops experiment; returns `(text, json, exposition)` where
+/// `json` is the `BENCH_ops.json` artifact body and `exposition` is the
+/// Prometheus text dump of both halves' run totals.
+pub fn ops_experiment(suite: &Suite) -> (String, String, String) {
+    let scale = suite.scale;
+    let (serve, storm_start, storm_end, slo_cycles, maintenance) = serve_half(suite);
     let churn = churn_half(scale);
 
     let alert = &serve.report.alerts[0];
@@ -407,7 +347,7 @@ mod tests {
 
     #[test]
     fn quick_ops_experiment_holds_its_invariants() {
-        let (t, j, e) = ops_experiment(Scale::Quick);
+        let (t, j, e) = ops_experiment(&Suite::new(Scale::Quick, 1));
         assert!(t.contains("traced results identical: yes"), "{t}");
         assert!(t.contains("alert fired during storm: yes"), "{t}");
         assert!(t.contains("cleared after: yes"), "{t}");
@@ -428,8 +368,8 @@ mod tests {
 
     #[test]
     fn quick_ops_experiment_is_bit_identical_across_reruns() {
-        let (t1, j1, e1) = ops_experiment(Scale::Quick);
-        let (t2, j2, e2) = ops_experiment(Scale::Quick);
+        let (t1, j1, e1) = ops_experiment(&Suite::new(Scale::Quick, 1));
+        let (t2, j2, e2) = ops_experiment(&Suite::new(Scale::Quick, 1));
         assert_eq!(t1, t2, "text report must be bit-identical");
         assert_eq!(j1, j2, "json artifact must be bit-identical");
         assert_eq!(e1, e2, "exposition must be bit-identical");

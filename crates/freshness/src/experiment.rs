@@ -47,7 +47,9 @@ const EF: usize = 64;
 /// Level-sampling seed shared by the live index and the static rebuild.
 const LEVEL_SEED: u64 = 0xF5E5;
 
-fn churn_config(scale: Scale, mem_clock_mhz: u64) -> ChurnConfig {
+/// The churn scenario's stream at `scale`: two read tenants and one
+/// writer contending under WFQ, with epochs every 600 k cycles.
+pub fn churn_config(scale: Scale, mem_clock_mhz: u64) -> ChurnConfig {
     let (reads, ops) = match scale {
         Scale::Quick => (80, 60),
         Scale::Full => (400, 300),
@@ -90,6 +92,44 @@ fn churn_config(scale: Scale, mem_clock_mhz: u64) -> ChurnConfig {
             interval_cycles: 600_000,
             conservative_headroom: 0.02,
         },
+    }
+}
+
+/// The churn scenario's starting point.
+pub struct ChurnState {
+    /// Live HNSW index over the first 80 % of the dataset.
+    pub index: MutableIndex,
+    /// The index's layout plan.
+    pub layout: LayoutArtifacts,
+    /// Query vectors.
+    pub queries: Vec<Vec<f32>>,
+    /// The held-out 20 %, streamed in by the writer tenant's inserts.
+    pub pending: Vec<Vec<f32>>,
+}
+
+/// Build the churn scenario's initial state at `scale`.
+pub fn churn_state(scale: Scale) -> ChurnState {
+    let spec = scale.spec(SynthSpec::sift());
+    let (full_data, queries) = spec.generate();
+    let n = full_data.len();
+    let base_n = n - n / 5;
+    let base = Dataset::from_values(
+        full_data.name(),
+        full_data.dtype(),
+        full_data.metric(),
+        full_data.dim(),
+        (0..base_n)
+            .flat_map(|i| full_data.vector(i).to_vec())
+            .collect(),
+    );
+    let pending = (base_n..n).map(|i| full_data.vector(i).to_vec()).collect();
+    let index = MutableIndex::build_hnsw(base, HnswParams::quick(), LEVEL_SEED);
+    let layout = LayoutArtifacts::plan(&index, 0.01);
+    ChurnState {
+        index,
+        layout,
+        queries,
+        pending,
     }
 }
 
@@ -136,7 +176,7 @@ fn compare_recall(index: &MutableIndex, queries: &[Vec<f32>]) -> RecallCompariso
             .flat_map(|&id| data.vector(id).to_vec())
             .collect(),
     );
-    let rebuilt = MutableIndex::build_hnsw(compacted, build_params(), LEVEL_SEED);
+    let rebuilt = MutableIndex::build_hnsw(compacted, HnswParams::quick(), LEVEL_SEED);
     let statics: Vec<Vec<usize>> = queries
         .iter()
         .map(|q| {
@@ -153,10 +193,6 @@ fn compare_recall(index: &MutableIndex, queries: &[Vec<f32>]) -> RecallCompariso
         churn: mean_recall(&churned, &truth),
         static_rebuild: mean_recall(&statics, &truth),
     }
-}
-
-fn build_params() -> HnswParams {
-    HnswParams::quick()
 }
 
 struct SnapshotProbe {
@@ -211,27 +247,14 @@ fn probe_snapshot(
 /// Run the freshness experiment at `scale`; returns `(text, json)` where
 /// `json` is the `BENCH_freshness.json` artifact body.
 pub fn freshness_experiment(scale: Scale) -> (String, String) {
-    let spec = scale.spec(SynthSpec::sift());
-    let (full_data, queries) = spec.generate();
-    let n = full_data.len();
-    let held = n / 5;
-    let base_n = n - held;
-
-    // The last 20 % of the dataset is held out and streamed in by the
-    // writer tenant's insert ops.
-    let base = Dataset::from_values(
-        full_data.name(),
-        full_data.dtype(),
-        full_data.metric(),
-        full_data.dim(),
-        (0..base_n)
-            .flat_map(|i| full_data.vector(i).to_vec())
-            .collect(),
-    );
-    let pending: Vec<Vec<f32>> = (base_n..n).map(|i| full_data.vector(i).to_vec()).collect();
-
-    let mut index = MutableIndex::build_hnsw(base, build_params(), LEVEL_SEED);
-    let mut layout = LayoutArtifacts::plan(&index, 0.01);
+    let ChurnState {
+        mut index,
+        mut layout,
+        queries,
+        pending,
+    } = churn_state(scale);
+    let name = index.data().name().to_string();
+    let (base_n, held) = (index.data().len(), pending.len());
 
     let sys = SystemConfig::default();
     let cfg = churn_config(scale, sys.dram.clock_mhz);
@@ -247,10 +270,7 @@ pub fn freshness_experiment(scale: Scale) -> (String, String) {
     let _ = writeln!(
         text,
         "freshness — {} ({} base vectors + {} held out, k={K}, ef={EF}, epoch every {} cycles)",
-        full_data.name(),
-        base_n,
-        held,
-        cfg.epoch.interval_cycles,
+        name, base_n, held, cfg.epoch.interval_cycles,
     );
     let _ = writeln!(text, "   {report}");
     let _ = writeln!(
@@ -293,7 +313,7 @@ pub fn freshness_experiment(scale: Scale) -> (String, String) {
             Scale::Full => "full",
         }
     );
-    let _ = writeln!(json, "  \"dataset\": {},", json_string(full_data.name()));
+    let _ = writeln!(json, "  \"dataset\": {},", json_string(&name));
     let _ = writeln!(
         json,
         "  \"config\": {{\"seed\": {}, \"mem_clock_mhz\": {}, \"k\": {K}, \"ef\": {EF}, \

@@ -46,7 +46,7 @@ pub mod serving;
 pub mod snapshot;
 
 pub use epoch::{EpochConfig, EpochManager, EpochReport};
-pub use experiment::freshness_experiment;
+pub use experiment::{churn_config, churn_state, freshness_experiment, ChurnState};
 pub use mutable::{CompactStats, ListDrift, MutableIndex};
 pub use oracle::FreshEtOracle;
 pub use revalidate::{LayoutArtifacts, RevalidationReport};

@@ -2,19 +2,18 @@
 //! executes each dispatched batch through the wave model
 //! ([`WaveContext`]) of the cycle-level simulator.
 //!
-//! The backend adds fault recovery (the legacy per-query model or the
-//! fleet path), brownout-shifted admission limits and deadlines, and
-//! scheduled maintenance pauses. Batches execute on fresh device state
-//! and latencies feed integer histograms, so one seed and one config
-//! produce one bit-identical report, independent of host thread count or
-//! run-to-run jitter (enforced by `tests/serving.rs`).
+//! The backend adds fault recovery (one fleet path for point faults,
+//! storms and the resilience layer), brownout-shifted admission limits
+//! and deadlines, and scheduled maintenance pauses. Batches execute on
+//! fresh device state and latencies feed integer histograms, so one seed
+//! and one config produce one bit-identical report, independent of host
+//! thread count or run-to-run jitter (enforced by `tests/serving.rs`).
 
-use ansmet_faults::{ComputeFault, FaultInjector, FaultKind, FaultPlan, FaultRates, StormPlan};
+use ansmet_faults::{FaultInjector, FaultPlan, FaultRates, StormPlan};
 use ansmet_host::RetryPolicy;
-use ansmet_index::HopKind;
-use ansmet_ndp::{Partitioner, ResultPayload};
+use ansmet_ndp::Partitioner;
 use ansmet_obs::{EventKind, LatencyHistogram, NoopSink, TraceSink};
-use ansmet_sim::{Design, RecoveryReport, SystemConfig, WaveContext, Workload};
+use ansmet_sim::{Design, SystemConfig, WaveContext, Workload};
 
 use crate::arrival::{generate_arrivals, Arrival, TenantSpec};
 use crate::kernel::{self, Completion, Executed, ItemCycles, PlaneMetrics};
@@ -206,102 +205,6 @@ fn results_fingerprint(served: &[Option<usize>], workload: &Workload) -> u64 {
     h.finish()
 }
 
-/// The legacy per-query fault-recovery model: an injector, the host's
-/// retry policy, and the counters it fills.
-struct PerQueryRecovery {
-    injector: FaultInjector,
-    retry: RetryPolicy,
-    rec: RecoveryReport,
-}
-
-/// Recovery-penalty cycles for one query's comparisons under the legacy
-/// model, dispatched at `at` and charged on top of its fault-free
-/// execution time.
-///
-/// The model mirrors the degraded-mode runner's protocol per offload:
-/// drop/hang ⇒ an abandoned poll window; stall ⇒ the stall itself;
-/// corrupt/lost payload ⇒ a CRC rejection; each failure retries under
-/// the [`RetryPolicy`]'s backoff until the host computes the distance
-/// itself.
-fn recovery_penalty<S: TraceSink>(
-    r: &mut PerQueryRecovery,
-    workload: &Workload,
-    query: usize,
-    partitioner: &Partitioner,
-    at: u64,
-    sink: &mut S,
-) -> u64 {
-    let natural_lines = workload.data.vector_lines() as u64;
-    let mut penalty = 0u64;
-    for hop in &workload.traces[query].hops {
-        if hop.kind == HopKind::Centroid {
-            continue; // host-side arithmetic; no offload to fault
-        }
-        for e in &hop.evals {
-            r.rec.comparisons += 1;
-            let lead = partitioner.group_of(e.id) * partitioner.group_size();
-            let mut attempt = 0u32;
-            loop {
-                r.rec.offloads += 1;
-                let mut failed = false;
-                if r.injector.drop_instruction(lead) {
-                    failed = true;
-                } else {
-                    match r.injector.compute_fault(lead) {
-                        ComputeFault::None => {}
-                        ComputeFault::Stall(extra) => penalty += extra,
-                        ComputeFault::Hang => failed = true,
-                    }
-                }
-                if failed {
-                    r.rec.timeouts += 1;
-                    penalty += TIMEOUT_PENALTY_CYCLES;
-                } else {
-                    let mut p = ResultPayload::encode(&[0.0]);
-                    match r.injector.poll_fault(lead, &mut p) {
-                        Some(FaultKind::CorruptResult { .. }) | Some(FaultKind::LostResult) => {
-                            r.rec.crc_rejections += 1;
-                            sink.event(at + penalty, EventKind::CrcRejected { rank: lead as u32 });
-                            failed = true;
-                        }
-                        Some(FaultKind::PollMiss) => {
-                            r.rec.poll_misses += 1;
-                            penalty += POLL_MISS_PENALTY_CYCLES;
-                        }
-                        _ => {}
-                    }
-                }
-                if !failed {
-                    break;
-                }
-                if r.retry.exhausted(attempt) {
-                    r.rec.host_fallbacks += 1;
-                    penalty += natural_lines * FALLBACK_CYCLES_PER_LINE;
-                    sink.event(
-                        at + penalty,
-                        EventKind::HostFallback {
-                            rank: lead as u32,
-                            lines: natural_lines as u32,
-                        },
-                    );
-                    break;
-                }
-                penalty += r.retry.backoff(attempt);
-                r.rec.retries += 1;
-                sink.event(
-                    at + penalty,
-                    EventKind::RecoveryRetry {
-                        rank: lead as u32,
-                        attempt,
-                    },
-                );
-                attempt += 1;
-            }
-        }
-    }
-    penalty
-}
-
 /// Run one online serving simulation.
 ///
 /// # Panics
@@ -361,10 +264,11 @@ pub fn run_serve_with_sink<S: TraceSink>(
         let plan = FaultPlan::random(f.seed, config.ndp_units(), per_rank, f.rates);
         FaultInjector::new(plan)
     };
-    // The fleet path (storm and/or resilience layer) supersedes the
-    // legacy per-query recovery model; configs with only `faults` keep
-    // the original model bit-for-bit.
-    let recovery = if serve.storm.is_some() || serve.resilience.is_some() {
+    // Point faults, a storm, or the resilience layer all recover through
+    // the fleet path; with only point faults it runs with no storm and no
+    // breakers, hedging or brownout.
+    let faulted = serve.faults.is_some() || serve.storm.is_some() || serve.resilience.is_some();
+    let recovery = faulted.then(|| {
         let retry = serve
             .storm
             .as_ref()
@@ -376,24 +280,15 @@ pub fn run_serve_with_sink<S: TraceSink>(
             .as_ref()
             .map(|s| s.plan.clone())
             .unwrap_or_else(StormPlan::none);
-        Recovery::Fleet(Box::new(FleetState::new(
+        FleetState::new(
             workload,
             &partitioner,
             serve.faults.as_ref().map(make_injector),
             retry,
             plan,
             serve.resilience,
-        )))
-    } else {
-        match &serve.faults {
-            Some(f) => Recovery::PerQuery(Box::new(PerQueryRecovery {
-                injector: make_injector(f),
-                retry: f.retry,
-                rec: RecoveryReport::default(),
-            })),
-            None => Recovery::Clean,
-        }
-    };
+        )
+    });
 
     let mut backend = ServeBackend {
         serve,
@@ -430,16 +325,6 @@ pub fn run_serve_with_sink<S: TraceSink>(
     backend.finish(&arrivals, mem_clock, sink)
 }
 
-/// How a run pays for injected faults.
-enum Recovery {
-    /// No faults: every query completes at its wave retirement.
-    Clean,
-    /// The legacy per-query model ([`recovery_penalty`]).
-    PerQuery(Box<PerQueryRecovery>),
-    /// The fleet path: storm script, breakers, hedging, brownout.
-    Fleet(Box<FleetState>),
-}
-
 /// The serving plane as a [`kernel::Backend`]: wave execution with
 /// fault recovery, brownout-shifted admission, and maintenance pauses.
 struct ServeBackend<'a> {
@@ -447,7 +332,10 @@ struct ServeBackend<'a> {
     workload: &'a Workload,
     ctx: WaveContext<'a>,
     partitioner: Partitioner,
-    recovery: Recovery,
+    /// Fault recovery (point faults, storm script, breakers, hedging,
+    /// brownout); `None` when the run injects no faults, so every query
+    /// completes at its wave retirement.
+    recovery: Option<FleetState>,
     top_weight: u64,
     /// Brownout level for the current scheduling round.
     brownout: u32,
@@ -513,13 +401,13 @@ impl ServeBackend<'_> {
         sink.counter("serve.completed", sum(|t| t.completed));
         sink.gauge_max("serve.makespan_cycles", makespan_cycles);
 
-        let (recovery, resilience) = match self.recovery {
-            Recovery::Clean => (None, None),
-            Recovery::PerQuery(mut r) => {
-                r.rec.injected = *r.injector.stats();
-                (Some(r.rec), None)
-            }
-            Recovery::Fleet(fl) => {
+        let fleet = self.recovery.as_ref();
+        let recovery = fleet.map(|fl| fl.recovery_report());
+        // A faults-only run reports its recovery counters but no
+        // resilience section: nothing it configured is resilience.
+        let resilience = fleet
+            .filter(|_| self.serve.storm.is_some() || self.serve.resilience.is_some())
+            .map(|fl| {
                 let windows = self.storm_span.map(|(start, end)| {
                     for (stats, h) in self.windows.iter_mut().zip(&self.window_hists) {
                         stats.p99_cycles = h.quantile(0.99);
@@ -527,10 +415,8 @@ impl ServeBackend<'_> {
                     let [before, during, after] = self.windows;
                     (start, end, before, during, after)
                 });
-                let resilience = fl.resilience_report(windows);
-                (Some(fl.recovery_report()), Some(resilience))
-            }
-        };
+                fl.resilience_report(windows)
+            });
         let [queue, execute, total] = self.hists.each_ref().map(PercentileSummary::from_histogram);
         ServeReport {
             design: self.serve.design,
@@ -562,8 +448,8 @@ impl kernel::Backend for ServeBackend<'_> {
         // Brownout: detected capacity loss (open breakers) tightens
         // admission before this round.
         self.brownout = match &mut self.recovery {
-            Recovery::Fleet(fl) => fl.brownout_level(now, sink),
-            _ => 0,
+            Some(fl) => fl.brownout_level(now, sink),
+            None => 0,
         };
     }
 
@@ -586,7 +472,7 @@ impl kernel::Backend for ServeBackend<'_> {
             tenant.shed_queue += 1;
         }
         if self.brownout > 0 {
-            if let Recovery::Fleet(fl) = &mut self.recovery {
+            if let Some(fl) = &mut self.recovery {
                 fl.brownout_sheds += 1;
             }
         }
@@ -611,18 +497,12 @@ impl kernel::Backend for ServeBackend<'_> {
         let penalties: Vec<u64> = batch
             .iter()
             .map(|a| match &mut self.recovery {
-                Recovery::Clean => 0,
-                Recovery::PerQuery(r) => {
-                    recovery_penalty(r, workload, a.query, partitioner, now, sink)
-                }
-                Recovery::Fleet(fl) => fl.query_penalty(workload, a.query, partitioner, now, sink),
+                Some(fl) => fl.query_penalty(workload, a.query, partitioner, now, sink),
+                None => 0,
             })
             .collect();
-        let added: u64 = penalties.iter().sum();
-        match &mut self.recovery {
-            Recovery::Clean => {}
-            Recovery::PerQuery(r) => r.rec.added_latency_cycles += added,
-            Recovery::Fleet(fl) => fl.rec.added_latency_cycles += added,
+        if let Some(fl) = &mut self.recovery {
+            fl.rec.added_latency_cycles += penalties.iter().sum::<u64>();
         }
         let max_penalty = penalties.iter().copied().max().unwrap_or(0);
         Executed {

@@ -14,8 +14,9 @@ use std::fmt::Write as _;
 
 use ansmet_faults::{FaultRates, StormPlan};
 use ansmet_host::RetryPolicy;
-use ansmet_sim::experiment::Scale;
-use ansmet_sim::{saturated_capacity_qps, Design, SystemConfig, Workload};
+use ansmet_sim::experiment::{Scale, Suite};
+use ansmet_sim::workload::IndexKind;
+use ansmet_sim::{saturated_capacity_qps, Design};
 use ansmet_vecdata::SynthSpec;
 
 use crate::arrival::{generate_arrivals, ArrivalProcess, TenantSpec};
@@ -78,12 +79,13 @@ pub fn ops_serve_config(
     experiment_config(seed, capacity_qps, queries, slo_cycles)
 }
 
-/// Run the serving experiment at `scale`; returns `(text, json)` where
-/// `json` is the `BENCH_serving.json` artifact body.
-pub fn serve_experiment(scale: Scale) -> (String, String) {
+/// Run the serving experiment; returns `(text, json)` where `json` is
+/// the `BENCH_serving.json` artifact body.
+pub fn serve_experiment(suite: &Suite) -> (String, String) {
+    let scale = suite.scale;
     let spec = scale.spec(SynthSpec::sift());
-    let wl = Workload::prepare_shared(&spec, 10, None);
-    let cfg = SystemConfig::default();
+    let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
+    let cfg = suite.config();
     let mem_clock = cfg.dram.clock_mhz;
     let queries = match scale {
         Scale::Quick => 80,
@@ -211,9 +213,8 @@ fn storm_line(r: &ServeReport) -> String {
     }
 }
 
-/// Run the chaos/soak resilience experiment at `scale`; returns
-/// `(text, json)` where `json` is the `BENCH_resilience.json` artifact
-/// body.
+/// Run the chaos/soak resilience experiment; returns `(text, json)`
+/// where `json` is the `BENCH_resilience.json` artifact body.
 ///
 /// Five passes over the same workload and arrival schedule: fault-free
 /// baseline; a scripted single-group storm with only the per-query
@@ -222,10 +223,11 @@ fn storm_line(r: &ServeReport) -> String {
 /// full layer plus brownout admission under the normal shedding config.
 /// The first four disable shedding so every query completes and the
 /// served-results fingerprint must be identical across them.
-pub fn resilience_experiment(scale: Scale) -> (String, String) {
+pub fn resilience_experiment(suite: &Suite) -> (String, String) {
+    let scale = suite.scale;
     let spec = scale.spec(SynthSpec::sift());
-    let wl = Workload::prepare_shared(&spec, 10, None);
-    let cfg = SystemConfig::default();
+    let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
+    let cfg = suite.config();
     let mem_clock = cfg.dram.clock_mhz;
     let queries = match scale {
         Scale::Quick => 60,
@@ -372,20 +374,20 @@ mod tests {
 
     #[test]
     fn quick_experiment_runs_and_is_deterministic() {
-        let (t1, j1) = serve_experiment(Scale::Quick);
+        let (t1, j1) = serve_experiment(&Suite::new(Scale::Quick, 1));
         assert!(t1.contains("serve (clean)"));
         assert!(t1.contains("qps sweep"));
         assert!(t1.contains("results identical: yes"), "{t1}");
         assert!(j1.contains("\"experiment\": \"serve\""));
         assert!(j1.contains("\"sweep\""));
-        let (t2, j2) = serve_experiment(Scale::Quick);
+        let (t2, j2) = serve_experiment(&Suite::new(Scale::Quick, 1));
         assert_eq!(t1, t2, "text report must be bit-identical");
         assert_eq!(j1, j2, "json artifact must be bit-identical");
     }
 
     #[test]
     fn quick_resilience_experiment_holds_its_invariants() {
-        let (t, j) = resilience_experiment(Scale::Quick);
+        let (t, j) = resilience_experiment(&Suite::new(Scale::Quick, 1));
         assert!(
             t.contains("results identical across clean/storm passes: yes"),
             "storm passes must serve identical results:\n{t}"

@@ -1,11 +1,12 @@
 //! Fleet-level resilience: cross-query rank-group health, circuit
 //! breakers, hedged offloads, and brownout admission control.
 //!
-//! The per-query recovery model ([`FaultProfile`](crate::engine::FaultProfile))
-//! survives transient faults but rediscovers a *persistently* sick rank
-//! group from scratch on every query: each one burns its full retry
-//! budget against a unit that has been hung for a million cycles. This
-//! module manages NDP health *across* queries on the serving clock:
+//! Retry-only recovery (a [`FaultProfile`](crate::engine::FaultProfile)
+//! with no resilience layer) survives transient faults but rediscovers
+//! a *persistently* sick rank group from scratch on every query: each
+//! one burns its full retry budget against a unit that has been hung
+//! for a million cycles. This module manages NDP health *across*
+//! queries on the serving clock:
 //!
 //! * a [`HealthTracker`] (EWMA failure rates + consecutive-failure
 //!   counters, `ansmet-host`) drives a closed → open → half-open circuit
@@ -326,8 +327,9 @@ enum Attempt {
     /// The poll deadline would pass with no completion (hang, drop, or a
     /// storm-hung group).
     TimedOut,
-    /// The payload arrived but failed its CRC.
-    Corrupt,
+    /// The payload arrived but failed its CRC, after `extra` stall
+    /// cycles.
+    Corrupt { extra: u64 },
 }
 
 /// Shared fleet state for one serving run: the storm script, the
@@ -458,7 +460,8 @@ impl FleetState {
 
     /// One offload attempt against `group` at effective cycle `at`:
     /// consult the storm script first (sustained degradation), then the
-    /// point-fault injector, mirroring the per-query recovery model.
+    /// point-fault injector. Drop/hang time out; a stall costs its
+    /// cycles, whether or not the payload then passes its CRC.
     fn attempt<S: TraceSink>(&mut self, group: usize, at: u64, sink: &mut S) -> Attempt {
         self.rec.offloads += 1;
         let lead = group * self.group_size;
@@ -480,8 +483,8 @@ impl FleetState {
             match inj.poll_fault(lead, &mut p) {
                 Some(FaultKind::CorruptResult { .. }) | Some(FaultKind::LostResult) => {
                     self.rec.crc_rejections += 1;
-                    sink.event(at, EventKind::CrcRejected { rank: lead as u32 });
-                    return Attempt::Corrupt;
+                    sink.event(at + extra, EventKind::CrcRejected { rank: lead as u32 });
+                    return Attempt::Corrupt { extra };
                 }
                 Some(FaultKind::PollMiss) => {
                     self.rec.poll_misses += 1;
@@ -626,7 +629,7 @@ impl FleetState {
                                     self.rec.timeouts += 1;
                                     self.record_failure(target, at + penalty, sink);
                                 }
-                                Attempt::Corrupt => {
+                                Attempt::Corrupt { .. } => {
                                     self.record_failure(target, at + penalty, sink);
                                 }
                             }
@@ -634,7 +637,8 @@ impl FleetState {
                     }
                     penalty += TIMEOUT_PENALTY_CYCLES;
                 }
-                Attempt::Corrupt => {
+                Attempt::Corrupt { extra } => {
+                    penalty += extra;
                     self.record_failure(group, at + penalty, sink);
                 }
             }

@@ -9,29 +9,28 @@ use ansmet_ndp::{ComputeUnit, PartitionScheme, PollingPolicy};
 /// Queries are independent traces replayed on private memory-system
 /// state, so any thread count produces bit-identical aggregate results;
 /// this knob only trades wall-clock time for cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Use the process-wide default set by
-    /// [`crate::parallel::set_default_threads`] (1 unless overridden,
-    /// e.g. by the experiments binary's `--threads` flag).
-    #[default]
-    Auto,
     /// Use exactly this many worker threads (clamped to at least 1).
     Threads(usize),
+}
+
+impl Default for Parallelism {
+    fn default() -> Self {
+        Parallelism::Threads(1)
+    }
 }
 
 impl Parallelism {
     /// Resolve to a concrete thread count.
     pub fn resolve(self) -> usize {
-        match self {
-            Parallelism::Auto => crate::parallel::default_threads(),
-            Parallelism::Threads(n) => n.max(1),
-        }
+        let Parallelism::Threads(n) = self;
+        n.max(1)
     }
 }
 
 /// Full-system parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// DRAM organization and timing.
     pub dram: DramConfig,
@@ -60,7 +59,7 @@ impl Default for SystemConfig {
             partition: PartitionScheme::Hybrid { subvec_bytes: 1024 },
             polling: None,
             replicate_hot: true,
-            parallelism: Parallelism::Auto,
+            parallelism: Parallelism::default(),
         }
     }
 }

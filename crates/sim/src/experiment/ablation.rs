@@ -5,18 +5,17 @@
 use ansmet_vecdata::SynthSpec;
 
 use crate::design::Design;
-use crate::experiment::Scale;
+use crate::experiment::Suite;
 use crate::report::{speedup, Table};
-use crate::timing::run_design_shared;
-use crate::workload::Workload;
+use crate::workload::IndexKind;
 use crate::SystemConfig;
 
 /// Run the ablation table.
-pub fn ablation(scale: Scale) -> String {
-    let spec = scale.spec(SynthSpec::deep());
-    let wl = Workload::prepare_shared(&spec, 10, None);
-    let full_cfg = SystemConfig::default();
-    let full = run_design_shared(Design::NdpEtOpt, &wl, &full_cfg);
+pub fn ablation(suite: &Suite) -> String {
+    let spec = suite.scale.spec(SynthSpec::deep());
+    let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
+    let full_cfg = suite.config();
+    let full = suite.replay(Design::NdpEtOpt, &wl, &full_cfg);
     let norm = full.total_cycles as f64;
     let norm_lines = full.total_lines() as f64;
 
@@ -25,7 +24,7 @@ pub fn ablation(scale: Scale) -> String {
         &["variant", "rel. latency", "rel. traffic", "what it shows"],
     );
     let mut row = |label: &str, design: Design, cfg: &SystemConfig, note: &str| {
-        let r = run_design_shared(design, &wl, cfg);
+        let r = suite.replay(design, &wl, cfg);
         t.row(vec![
             label.to_string(),
             speedup(r.total_cycles as f64 / norm),
@@ -67,7 +66,7 @@ pub fn ablation(scale: Scale) -> String {
     );
     let no_repl = SystemConfig {
         replicate_hot: false,
-        ..SystemConfig::default()
+        ..suite.config()
     };
     row(
         "no hot replication",
@@ -78,7 +77,7 @@ pub fn ablation(scale: Scale) -> String {
     row(
         "conventional polling",
         Design::NdpEtOpt,
-        &SystemConfig::default().with_conventional_polling(),
+        &suite.config().with_conventional_polling(),
         "§5.4 adaptive polling",
     );
     t.render()
@@ -87,10 +86,11 @@ pub fn ablation(scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Scale;
 
     #[test]
     fn ablation_has_all_rows() {
-        let s = ablation(Scale::Quick);
+        let s = ablation(&Suite::new(Scale::Quick, 1));
         for label in [
             "full system",
             "no prefix elimination",

@@ -6,11 +6,10 @@ use ansmet_faults::{FaultPlan, FaultRates};
 use ansmet_host::RetryPolicy;
 use ansmet_vecdata::SynthSpec;
 
-use super::Scale;
-use crate::config::SystemConfig;
+use super::Suite;
 use crate::degraded::run_degraded;
 use crate::report::{pct, Table};
-use crate::workload::Workload;
+use crate::workload::IndexKind;
 
 /// Fault profiles swept by the experiment.
 fn profiles() -> Vec<(&'static str, FaultRates)> {
@@ -32,10 +31,10 @@ fn profiles() -> Vec<(&'static str, FaultRates)> {
 /// Search under injected faults: for each fault profile, every query runs
 /// through the degraded-mode NDP path and the resulting top-k is compared
 /// against the fault-free run.
-pub fn faults(scale: Scale) -> String {
-    let spec = scale.spec(SynthSpec::sift());
-    let wl = Workload::prepare_shared(&spec, 10, None);
-    let cfg = SystemConfig::default();
+pub fn faults(suite: &Suite) -> String {
+    let spec = suite.scale.spec(SynthSpec::sift());
+    let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
+    let cfg = suite.config();
     let retry = RetryPolicy::default_ndp();
     let ops = wl
         .traces
@@ -93,10 +92,11 @@ pub fn faults(scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Scale;
 
     #[test]
     fn faults_experiment_reports_identical_results() {
-        let s = faults(Scale::Quick);
+        let s = faults(&Suite::new(Scale::Quick, 1));
         assert!(s.contains("fault recovery"));
         assert!(s.contains("yes"));
         assert!(!s.contains("NO"), "recovery must be lossless:\n{s}");

@@ -31,15 +31,15 @@ use ansmet_vecdata::SynthSpec;
 
 use crate::design::Design;
 use crate::energy::SystemEnergyModel;
-use crate::experiment::Scale;
+use crate::experiment::{Scale, Suite};
 use crate::report::{pct, speedup, Table};
-use crate::timing::{run_design, run_design_shared};
+use crate::timing::run_design;
 use crate::workload::{IndexKind, Workload};
 use crate::SystemConfig;
 
 /// Fig. 1 — CPU time breakdown of IVF and HNSW on SIFT and GIST:
 /// index+sort vs. distance comparison (split into accepted / rejected).
-pub fn fig1(scale: Scale) -> String {
+pub fn fig1(suite: &Suite) -> String {
     let mut t = Table::new(
         "Fig.1: CPU-Base performance breakdown",
         &[
@@ -49,11 +49,11 @@ pub fn fig1(scale: Scale) -> String {
             "dist (rejected)",
         ],
     );
-    let cfg = SystemConfig::default();
+    let (scale, cfg) = (suite.scale, suite.config());
     for (kind, label) in [(IndexKind::Hnsw, "HNSW"), (IndexKind::Ivf, "IVF")] {
         for spec in [scale.spec(SynthSpec::sift()), scale.spec(SynthSpec::gist())] {
-            let wl = Workload::prepare_shared_with_index(&spec, 10, None, kind);
-            let r = run_design_shared(Design::CpuBase, &wl, &cfg);
+            let wl = suite.workload(&spec, 10, None, kind);
+            let r = suite.replay(Design::CpuBase, &wl, &cfg);
             let dist = r.breakdown.dist_comp as f64;
             let other = (r.total_cycles - r.breakdown.dist_comp) as f64;
             let total = r.total_cycles as f64;
@@ -121,9 +121,13 @@ pub fn fig3(scale: Scale) -> String {
 }
 
 /// Fig. 6 — speedups of all nine designs over CPU-Base, for each dataset
-/// and k ∈ {1, 5, 10}.
-pub fn fig6(scale: Scale, ks: &[usize]) -> String {
-    let cfg = SystemConfig::default();
+/// and k ∈ {1, 5, 10} (k = 10 only at quick scale).
+pub fn fig6(suite: &Suite) -> String {
+    let ks: &[usize] = match suite.scale {
+        Scale::Quick => &[10],
+        Scale::Full => &[1, 5, 10],
+    };
+    let cfg = suite.config();
     let mut out = String::new();
     for &k in ks {
         let mut t = Table::new(
@@ -142,12 +146,12 @@ pub fn fig6(scale: Scale, ks: &[usize]) -> String {
         );
         let mut geo: Vec<f64> = vec![1.0; 8];
         let mut n = 0usize;
-        for spec in scale.datasets() {
-            let wl = Workload::prepare_shared(&spec, k, None);
-            let base = run_design_shared(Design::CpuBase, &wl, &cfg).total_cycles as f64;
+        for spec in suite.scale.datasets() {
+            let wl = suite.workload(&spec, k, None, IndexKind::Hnsw);
+            let base = suite.replay(Design::CpuBase, &wl, &cfg).total_cycles as f64;
             let mut row = vec![wl.name.clone()];
             for (i, d) in Design::all().iter().skip(1).enumerate() {
-                let r = run_design_shared(*d, &wl, &cfg);
+                let r = suite.replay(*d, &wl, &cfg);
                 let s = base / r.total_cycles as f64;
                 geo[i] *= s;
                 row.push(speedup(s));
@@ -168,8 +172,8 @@ pub fn fig6(scale: Scale, ks: &[usize]) -> String {
 
 /// Fig. 7 — system energy of the six Fig. 7 designs, normalized to
 /// CPU-Base.
-pub fn fig7(scale: Scale) -> String {
-    let cfg = SystemConfig::default();
+pub fn fig7(suite: &Suite) -> String {
+    let cfg = suite.config();
     let model = SystemEnergyModel::default();
     let designs = [
         Design::CpuBase,
@@ -191,16 +195,14 @@ pub fn fig7(scale: Scale) -> String {
             "NDP-ETOpt",
         ],
     );
-    for spec in scale.datasets() {
-        let wl = Workload::prepare_shared(&spec, 10, None);
+    for spec in suite.scale.datasets() {
+        let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
         let base = model
-            .compute(&run_design_shared(Design::CpuBase, &wl, &cfg), &cfg)
+            .compute(&suite.replay(Design::CpuBase, &wl, &cfg), &cfg)
             .total_nj();
         let mut row = vec![wl.name.clone()];
         for d in designs {
-            let e = model
-                .compute(&run_design_shared(d, &wl, &cfg), &cfg)
-                .total_nj();
+            let e = model.compute(&suite.replay(d, &wl, &cfg), &cfg).total_nj();
             row.push(format!("{:.3}", e / base));
         }
         t.row(row);
@@ -210,12 +212,12 @@ pub fn fig7(scale: Scale) -> String {
 
 /// Fig. 8 — recall@10 vs. QPS for SIFT and GIST under CPU-Base,
 /// NDP-Base, and NDP-ETOpt, sweeping the result-queue size k′.
-pub fn fig8(scale: Scale) -> String {
-    let cfg = SystemConfig::default();
+pub fn fig8(suite: &Suite) -> String {
+    let cfg = suite.config();
     let mut out = String::new();
     for base_spec in [SynthSpec::sift(), SynthSpec::gist()] {
-        let spec = scale.spec(base_spec);
-        let mut wl = Workload::prepare_owned(&spec, 10, Some(10));
+        let spec = suite.scale.spec(base_spec);
+        let mut wl = (*suite.workload(&spec, 10, Some(10), IndexKind::Hnsw)).clone();
         let mut t = Table::new(
             format!("Fig.8: recall vs QPS — {}", wl.name),
             &[
@@ -248,25 +250,22 @@ pub fn fig8(scale: Scale) -> String {
 /// Fig. 9 — per-query latency breakdown on SIFT: CPU-Base, NDP-Base,
 /// NDP-ETOpt with conventional 100 ns polling, and with adaptive polling.
 /// Normalized to NDP-Base.
-pub fn fig9(scale: Scale) -> String {
-    let spec = scale.spec(SynthSpec::sift());
-    let wl = Workload::prepare_shared(&spec, 10, None);
+pub fn fig9(suite: &Suite) -> String {
+    let spec = suite.scale.spec(SynthSpec::sift());
+    let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
     let runs = [
-        ("CPU-Base", Design::CpuBase, SystemConfig::default()),
-        ("NDP-Base", Design::NdpBase, SystemConfig::default()),
+        ("CPU-Base", Design::CpuBase, suite.config()),
+        ("NDP-Base", Design::NdpBase, suite.config()),
         (
             "NDP-ETOpt+ConvPoll",
             Design::NdpEtOpt,
-            SystemConfig::default().with_conventional_polling(),
+            suite.config().with_conventional_polling(),
         ),
-        (
-            "NDP-ETOpt+AdaptPoll",
-            Design::NdpEtOpt,
-            SystemConfig::default(),
-        ),
+        ("NDP-ETOpt+AdaptPoll", Design::NdpEtOpt, suite.config()),
     ];
-    let norm =
-        run_design_shared(Design::NdpBase, &wl, &SystemConfig::default()).total_cycles as f64;
+    let norm = suite
+        .replay(Design::NdpBase, &wl, &suite.config())
+        .total_cycles as f64;
     let mut t = Table::new(
         "Fig.9: latency breakdown (normalized to NDP-Base)",
         &[
@@ -279,7 +278,7 @@ pub fn fig9(scale: Scale) -> String {
         ],
     );
     for (label, d, cfg) in runs {
-        let r = run_design_shared(d, &wl, &cfg);
+        let r = suite.replay(d, &wl, &cfg);
         let b = r.breakdown;
         t.row(vec![
             label.to_string(),
@@ -295,8 +294,8 @@ pub fn fig9(scale: Scale) -> String {
 
 /// Fig. 10 — access traffic split into effectual and ineffectual fetches
 /// for the six NDP designs, normalized to NDP-Base.
-pub fn fig10(scale: Scale) -> String {
-    let cfg = SystemConfig::default();
+pub fn fig10(suite: &Suite) -> String {
+    let cfg = suite.config();
     let mut t = Table::new(
         "Fig.10: normalized fetched lines (effectual + ineffectual)",
         &[
@@ -307,11 +306,11 @@ pub fn fig10(scale: Scale) -> String {
             "utilization",
         ],
     );
-    for spec in scale.datasets() {
-        let wl = Workload::prepare_shared(&spec, 10, None);
-        let base = run_design_shared(Design::NdpBase, &wl, &cfg).total_lines() as f64;
+    for spec in suite.scale.datasets() {
+        let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
+        let base = suite.replay(Design::NdpBase, &wl, &cfg).total_lines() as f64;
         for d in Design::ndp_designs() {
-            let r = run_design_shared(d, &wl, &cfg);
+            let r = suite.replay(d, &wl, &cfg);
             t.row(vec![
                 wl.name.clone(),
                 d.label().to_string(),
@@ -330,9 +329,9 @@ pub fn fig10(scale: Scale) -> String {
 /// Fig. 11 — KL divergence between the sampled early-termination
 /// distribution and the true one, sweeping the sample count and the
 /// threshold percentile (DEEP dataset).
-pub fn fig11(scale: Scale) -> String {
-    let spec = scale.spec(SynthSpec::deep());
-    let wl = Workload::prepare_shared(&spec, 10, None);
+pub fn fig11(suite: &Suite) -> String {
+    let spec = suite.scale.spec(SynthSpec::deep());
+    let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
     let data = &wl.data;
     // "True" distribution: the early-termination positions real queries
     // produce on the full dataset, under the thresholds the search
@@ -414,9 +413,9 @@ pub fn fig11(scale: Scale) -> String {
 
 /// Fig. 12 — vector-data partitioning sweep on GIST: Vertical, Hybrid
 /// 256 B / 512 B / 1 kB / 2 kB, Horizontal. Normalized to Hybrid 1 kB.
-pub fn fig12(scale: Scale) -> String {
-    let spec = scale.spec(SynthSpec::gist());
-    let wl = Workload::prepare_shared(&spec, 10, None);
+pub fn fig12(suite: &Suite) -> String {
+    let spec = suite.scale.spec(SynthSpec::gist());
+    let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
     let schemes = [
         ("Vertical", PartitionScheme::Vertical),
         ("Hybrid 256B", PartitionScheme::Hybrid { subvec_bytes: 256 }),
@@ -425,10 +424,12 @@ pub fn fig12(scale: Scale) -> String {
         ("Hybrid 2kB", PartitionScheme::Hybrid { subvec_bytes: 2048 }),
         ("Horizontal", PartitionScheme::Horizontal),
     ];
-    let base = run_design_shared(
+    let base = suite.replay(
         Design::NdpEtOpt,
         &wl,
-        &SystemConfig::default().with_partition(PartitionScheme::Hybrid { subvec_bytes: 1024 }),
+        &suite
+            .config()
+            .with_partition(PartitionScheme::Hybrid { subvec_bytes: 1024 }),
     );
     let (norm_cycles, norm_lines) = (base.total_cycles as f64, base.total_lines() as f64);
     let mut t = Table::new(
@@ -440,10 +441,10 @@ pub fn fig12(scale: Scale) -> String {
         ],
     );
     for (label, scheme) in schemes {
-        let r = run_design_shared(
+        let r = suite.replay(
             Design::NdpEtOpt,
             &wl,
-            &SystemConfig::default().with_partition(scheme),
+            &suite.config().with_partition(scheme),
         );
         t.row(vec![
             label.to_string(),
@@ -456,9 +457,9 @@ pub fn fig12(scale: Scale) -> String {
 
 /// §5.3 — load-imbalance ratio with and without hot-vector replication,
 /// with uniform and zipf-skewed query mixes (GIST).
-pub fn loadbal(scale: Scale) -> String {
-    let spec = scale.spec(SynthSpec::gist());
-    let mut wl = Workload::prepare_owned(&spec, 10, None);
+pub fn loadbal(suite: &Suite) -> String {
+    let spec = suite.scale.spec(SynthSpec::gist());
+    let mut wl = (*suite.workload(&spec, 10, None, IndexKind::Hnsw)).clone();
     let mut t = Table::new(
         "§5.3: rank load imbalance (max / average)",
         &["query mix", "no replication", "with replication"],
@@ -466,7 +467,7 @@ pub fn loadbal(scale: Scale) -> String {
     let imbalance = |wl: &Workload, replicate: bool| -> f64 {
         let cfg = SystemConfig {
             replicate_hot: replicate,
-            ..SystemConfig::default()
+            ..suite.config()
         };
         let r = run_design(Design::NdpEtOpt, wl, &cfg);
         let max = *r.rank_loads.iter().max().unwrap_or(&0) as f64;
@@ -509,7 +510,7 @@ mod tests {
 
     #[test]
     fn fig9_runs_quick() {
-        let s = fig9(Scale::Quick);
+        let s = fig9(&Suite::new(Scale::Quick, 1));
         assert!(s.contains("NDP-ETOpt+AdaptPoll"));
         assert!(s.contains("CPU-Base"));
     }

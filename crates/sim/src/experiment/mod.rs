@@ -1,6 +1,7 @@
 //! Experiment drivers regenerating every table and figure of the paper's
 //! evaluation (§7). Each function returns a rendered text report; the
-//! `experiments` binary in `ansmet-bench` dispatches them.
+//! `experiments` binary in `ansmet-bench` dispatches them. Experiments
+//! that prepare shared workloads or replay designs take a [`Suite`].
 //!
 //! Absolute numbers differ from the paper (synthetic, scaled datasets on
 //! a from-scratch simulator); the reproduced quantities are the *shapes*:
@@ -10,14 +11,16 @@
 mod ablation;
 mod faults;
 mod figures;
+mod suite;
 mod tables;
 mod trace;
 
 pub use ablation::ablation;
 pub use faults::faults;
 pub use figures::{fig1, fig10, fig11, fig12, fig3, fig6, fig7, fig8, fig9, loadbal};
+pub use suite::Suite;
 pub use tables::{table2, table3, table4, table5};
-pub use trace::{trace, trace_bundle, TraceBundle, TRACED_QUERIES};
+pub use trace::{trace_bundle, TraceBundle, TRACED_QUERIES};
 
 use ansmet_vecdata::SynthSpec;
 

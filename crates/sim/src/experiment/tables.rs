@@ -8,11 +8,10 @@ use ansmet_index::DistanceOracle;
 use ansmet_vecdata::{recall::mean_recall_at_k, SynthSpec};
 
 use crate::design::Design;
-use crate::experiment::Scale;
+use crate::experiment::{Scale, Suite};
 use crate::report::{pct, speedup, Table};
-use crate::timing::{run_design, run_design_shared};
-use crate::workload::Workload;
-use crate::SystemConfig;
+use crate::timing::run_design;
+use crate::workload::IndexKind;
 
 /// Table 2 — dataset characteristics (as instantiated at this scale).
 pub fn table2(scale: Scale) -> String {
@@ -44,31 +43,32 @@ pub fn table2(scale: Scale) -> String {
 /// core) keeping the ranks busy, so this experiment uses the wave-based
 /// multi-stream simulator with 16 streams; the CPU baseline throughput is
 /// `cores ×` its (contention-modeled) single-stream rate.
-pub fn table3(scale: Scale) -> String {
+pub fn table3(suite: &Suite) -> String {
     let mut t = Table::new(
         "Table 3: throughput speedup over CPU-Base by NDP unit count (16 streams)",
         &["units", "geomean speedup", "scaling vs 8 units"],
     );
     // Enough queries to keep all 16 streams busy.
-    let workloads: Vec<_> = scale
+    let workloads: Vec<_> = suite
+        .scale
         .datasets()
         .into_iter()
         .map(|s| {
             let n = s.n_vectors;
-            Workload::prepare_shared(&s.scaled(n, 32), 10, None)
+            suite.workload(&s.scaled(n, 32), 10, None, IndexKind::Hnsw)
         })
         .collect();
-    let cfg0 = SystemConfig::default();
+    let cfg0 = suite.config();
     let cpu_qps: Vec<f64> = workloads
         .iter()
         .map(|wl| {
-            let r = run_design_shared(Design::CpuBase, wl, &cfg0);
+            let r = suite.replay(Design::CpuBase, wl, &cfg0);
             r.qps(cfg0.dram.clock_mhz) * cfg0.cpu.cores as f64
         })
         .collect();
     let mut at8 = None;
     for units in [8usize, 16, 32, 64] {
-        let cfg = SystemConfig::default().with_ndp_units(units);
+        let cfg = suite.config().with_ndp_units(units);
         let mut geo = 1.0f64;
         for (wl, &base) in workloads.iter().zip(&cpu_qps) {
             let r = crate::throughput::run_design_throughput(Design::NdpEtOpt, wl, &cfg, 16);
@@ -83,13 +83,13 @@ pub fn table3(scale: Scale) -> String {
 
 /// Table 4 — preprocessing time (sampling + layout optimization + data
 /// transformation) vs. index construction time, per dataset.
-pub fn table4(scale: Scale) -> String {
+pub fn table4(suite: &Suite) -> String {
     let mut t = Table::new(
         "Table 4: preprocessing vs graph construction time (seconds)",
         &["dataset", "preproc (s)", "graph constr (s)", "overhead"],
     );
-    for spec in scale.datasets() {
-        let wl = Workload::prepare_shared(&spec, 10, Some(10));
+    for spec in suite.scale.datasets() {
+        let wl = suite.workload(&spec, 10, Some(10), IndexKind::Hnsw);
         let data = &wl.data;
         let t0 = std::time::Instant::now();
         // The full offline pipeline: sampling, prefix selection, dual
@@ -124,17 +124,14 @@ pub fn table4(scale: Scale) -> String {
 /// elimination (SPACEV, k = 10): speedup over no-elimination, space
 /// saved, extra backup space/accesses, and the accuracy loss when the
 /// backup re-check is disabled.
-pub fn table5(scale: Scale) -> String {
-    let spec = scale.spec(SynthSpec::spacev());
-    let wl = Workload::prepare_shared(&spec, 10, None);
+pub fn table5(suite: &Suite) -> String {
+    let spec = suite.scale.spec(SynthSpec::spacev());
+    let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
     let data = &wl.data;
     let dtype = data.dtype();
-    let cfg = SystemConfig::default();
+    let cfg = suite.config();
     // Baseline: ET without prefix elimination.
-    let base_cycles = {
-        let r = run_design_shared(Design::NdpEtDual, &wl, &cfg);
-        r.total_cycles as f64
-    };
+    let base_cycles = suite.replay(Design::NdpEtDual, &wl, &cfg).total_cycles as f64;
 
     let mut t = Table::new(
         "Table 5: outlier-aware common prefix elimination (SPACEV, k=10)",
@@ -151,7 +148,7 @@ pub fn table5(scale: Scale) -> String {
     // One owned workload, re-used across outlier fractions: preparation
     // is deterministic, so mutating `outlier_frac` between replays is
     // identical to preparing a fresh workload per fraction.
-    let mut wl2 = Workload::prepare_owned(&scale.spec(SynthSpec::spacev()), 10, Some(wl.ef));
+    let mut wl2 = (*suite.workload(&spec, 10, Some(wl.ef), IndexKind::Hnsw)).clone();
     for frac in [0.0, 0.0001, 0.001, 0.01, 0.2] {
         let spec_p = PrefixSpec::choose(data, &wl.profile.sample_ids, frac);
         let stats = spec_p.stats(data);

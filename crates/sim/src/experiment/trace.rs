@@ -11,10 +11,9 @@ use ansmet_obs::{attribution_check, attribution_table, perfetto_trace_json, Metr
 use ansmet_vecdata::SynthSpec;
 
 use crate::design::Design;
-use crate::experiment::Scale;
+use crate::experiment::{Scale, Suite};
 use crate::timing::{run_design_traced, TraceOptions};
-use crate::workload::Workload;
-use crate::SystemConfig;
+use crate::workload::IndexKind;
 
 /// How many of the slowest queries the Perfetto export carries.
 pub const TRACED_QUERIES: usize = 5;
@@ -36,10 +35,10 @@ pub struct TraceBundle {
 ///
 /// Panics if any recorded query's phase spans fail to sum to its
 /// end-to-end cycles (the attribution-exactness contract).
-pub fn trace_bundle(scale: Scale) -> TraceBundle {
-    let spec = scale.spec(SynthSpec::sift());
-    let wl = Workload::prepare_shared(&spec, 10, None);
-    let cfg = SystemConfig::default();
+pub fn trace_bundle(suite: &Suite) -> TraceBundle {
+    let spec = suite.scale.spec(SynthSpec::sift());
+    let wl = suite.workload(&spec, 10, None, IndexKind::Hnsw);
+    let cfg = suite.config();
     let design = Design::NdpEtOpt;
     let opts = TraceOptions {
         dram_commands: true,
@@ -69,7 +68,7 @@ pub fn trace_bundle(scale: Scale) -> TraceBundle {
     report.push_str(&format!("{}", rec.metrics));
 
     let perfetto_json = perfetto_trace_json(&slowest, cfg.dram.clock_mhz);
-    let metrics_json = metrics_envelope(scale, design, run.queries, &rec.metrics);
+    let metrics_json = metrics_envelope(suite.scale, design, run.queries, &rec.metrics);
 
     TraceBundle {
         report,
@@ -107,19 +106,14 @@ fn metrics_envelope(
     s
 }
 
-/// Text-only entry point used by the generic experiment dispatcher.
-pub fn trace(scale: Scale) -> String {
-    trace_bundle(scale).report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn bundle_is_deterministic_and_well_formed() {
-        let a = trace_bundle(Scale::Quick);
-        let b = trace_bundle(Scale::Quick);
+        let a = trace_bundle(&Suite::new(Scale::Quick, 1));
+        let b = trace_bundle(&Suite::new(Scale::Quick, 4));
         assert_eq!(a.report, b.report);
         assert_eq!(a.perfetto_json, b.perfetto_json);
         assert_eq!(a.metrics_json, b.metrics_json);

@@ -46,13 +46,9 @@ pub use design::{Design, DesignPlan, EtKind};
 pub use energy::{EnergyBreakdown, SystemEnergyModel};
 pub use error::AnsmetError;
 pub use events::{EventWheel, Wakeup};
-pub use parallel::{
-    cycles_simulated, cycles_skipped, default_threads, queries_simulated, set_default_threads,
-};
+pub use parallel::{cycles_simulated, cycles_skipped, queries_simulated};
 pub use throughput::{
     run_design_throughput, saturated_capacity_qps, BatchExecution, ThroughputResult, WaveContext,
 };
-pub use timing::{
-    run_design, run_design_shared, run_design_traced, QueryBreakdown, RunResult, TraceOptions,
-};
+pub use timing::{run_design, run_design_traced, QueryBreakdown, RunResult, TraceOptions};
 pub use workload::Workload;

@@ -1,27 +1,14 @@
-//! Process-wide parallelism default and simulation counters.
+//! Process-wide simulation counters.
 //!
-//! Experiment entry points construct [`crate::SystemConfig`] internally,
-//! so the `--threads` flag of the experiments binary is plumbed through a
-//! process-wide default that [`crate::config::Parallelism::Auto`]
-//! resolves to. Explicit [`crate::config::Parallelism::Threads`] values
-//! bypass the default entirely.
+//! The thread count is not here: it travels in
+//! [`crate::SystemConfig::parallelism`], and the experiment suite sets
+//! it through [`crate::experiment::Suite`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(1);
 static QUERIES_SIMULATED: AtomicU64 = AtomicU64::new(0);
 static CYCLES_SIMULATED: AtomicU64 = AtomicU64::new(0);
 static CYCLES_SKIPPED: AtomicU64 = AtomicU64::new(0);
-
-/// Set the thread count `Parallelism::Auto` resolves to (clamped ≥ 1).
-pub fn set_default_threads(n: usize) {
-    DEFAULT_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The thread count `Parallelism::Auto` currently resolves to.
-pub fn default_threads() -> usize {
-    DEFAULT_THREADS.load(Ordering::Relaxed)
-}
 
 /// Total queries replayed by [`crate::run_design`] since process start.
 /// Monotonic; benchmark harnesses read deltas around timed sections to

@@ -934,44 +934,6 @@ pub fn run_design(design: Design, workload: &Workload, config: &SystemConfig) ->
     agg
 }
 
-/// Memoized [`run_design`] for cache-resident workloads.
-///
-/// Replay is a pure function of `(design, workload, config)`, and the
-/// experiment suite re-runs many identical combinations (the energy,
-/// speedup, and fetch-utilization figures all replay the same designs
-/// over the same datasets under the default config). The workload is
-/// identified by its [`Arc`] pointer — sound because shared workloads
-/// live forever in the [`Workload::prepare_shared`] cache and are
-/// immutable behind the `Arc` — and the config by its `Debug` rendering.
-///
-/// Hits replay nothing, so they add neither to
-/// [`crate::parallel::queries_simulated`] nor to the DRAM tick/skip
-/// cycle counters: only real replays count.
-pub fn run_design_shared(
-    design: Design,
-    workload: &std::sync::Arc<Workload>,
-    config: &SystemConfig,
-) -> RunResult {
-    use std::sync::{Arc, Mutex, OnceLock};
-    type Key = (usize, Design, String);
-    static CACHE: OnceLock<Mutex<HashMap<Key, RunResult>>> = OnceLock::new();
-    let key = (
-        Arc::as_ptr(workload) as usize,
-        design,
-        format!("{config:?}"),
-    );
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(r) = cache.lock().expect("run cache poisoned").get(&key) {
-        return r.clone();
-    }
-    let r = run_design(design, workload, config);
-    cache
-        .lock()
-        .expect("run cache poisoned")
-        .insert(key, r.clone());
-    r
-}
-
 /// Tracing knobs for [`run_design_traced`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceOptions {

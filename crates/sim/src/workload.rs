@@ -2,9 +2,6 @@
 //! traces + ground truth + sampling profile, shared by every design's
 //! timing replay.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
 use ansmet_core::{SamplingConfig, SamplingProfile};
 use ansmet_index::{ExactOracle, Hnsw, HnswParams, Ivf, IvfParams, SearchTrace};
 use ansmet_vecdata::{recall::mean_recall_at_k, Dataset, GroundTruth, SynthSpec};
@@ -60,52 +57,6 @@ impl Workload {
     /// recall@k ≥ 80 % (as the paper does).
     pub fn prepare(spec: &SynthSpec, k: usize, ef: Option<usize>) -> Workload {
         Self::prepare_with_index(spec, k, ef, IndexKind::Hnsw)
-    }
-
-    /// Memoized [`Workload::prepare`]: preparation is deterministic in
-    /// `(spec, k, ef, kind)` (seeded generation, deterministic index
-    /// build, exact traces), so identical requests return the same
-    /// shared workload instead of rebuilding the index and profile.
-    /// Experiment drivers that never mutate the workload (everything
-    /// except the Fig. 8 `retrace` sweep) go through here; at quick
-    /// scale this removes the dominant share of suite wall-clock.
-    pub fn prepare_shared(spec: &SynthSpec, k: usize, ef: Option<usize>) -> Arc<Workload> {
-        Self::prepare_shared_with_index(spec, k, ef, IndexKind::Hnsw)
-    }
-
-    /// An owned, mutable workload cloned from the shared cache.
-    ///
-    /// For experiments that mutate their workload (the Fig. 8 `retrace`
-    /// sweep, query-mix rewrites): preparation goes through the
-    /// memoized cache, so a spec another experiment already built costs
-    /// one clone instead of a full index + profile rebuild, and the
-    /// clone is bit-identical to a fresh [`Workload::prepare`].
-    pub fn prepare_owned(spec: &SynthSpec, k: usize, ef: Option<usize>) -> Workload {
-        (*Self::prepare_shared(spec, k, ef)).clone()
-    }
-
-    /// Memoized [`Workload::prepare_with_index`].
-    pub fn prepare_shared_with_index(
-        spec: &SynthSpec,
-        k: usize,
-        ef: Option<usize>,
-        kind: IndexKind,
-    ) -> Arc<Workload> {
-        static CACHE: OnceLock<Mutex<HashMap<String, Arc<Workload>>>> = OnceLock::new();
-        let key = format!("{spec:?}|k={k}|ef={ef:?}|{kind:?}");
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(wl) = cache.lock().expect("workload cache poisoned").get(&key) {
-            return Arc::clone(wl);
-        }
-        // Build outside the lock: preparation is the expensive part, and
-        // a duplicate concurrent build is deterministic anyway — last
-        // insert wins, both Arcs describe identical workloads.
-        let wl = Arc::new(Self::prepare_with_index(spec, k, ef, kind));
-        cache
-            .lock()
-            .expect("workload cache poisoned")
-            .insert(key, Arc::clone(&wl));
-        wl
     }
 
     /// Generate, index, trace, and profile with a chosen index kind.

@@ -18,7 +18,7 @@ use crate::dtype::ElemType;
 use crate::metric::Metric;
 
 /// Specification for one synthetic dataset.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthSpec {
     /// Dataset name (matches the paper's Table 2 names).
     pub name: String,

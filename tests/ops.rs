@@ -14,7 +14,7 @@ use ansmet::obs::{OpsConfig, OpsPlane};
 use ansmet::serve::{run_serve, run_serve_with_sink, MaintenancePlan, ServeConfig};
 use ansmet::sim::{SystemConfig, Workload};
 use ansmet::vecdata::SynthSpec;
-use ansmet_bench::{ops_experiment, Scale};
+use ansmet_bench::{ops_experiment, Scale, Suite};
 
 fn small_workload() -> Workload {
     Workload::prepare(&SynthSpec::sift().scaled(1500, 4), 10, Some(40))
@@ -22,19 +22,16 @@ fn small_workload() -> Workload {
 
 #[test]
 fn ops_artifacts_bit_identical_across_runs_and_thread_counts() {
-    ansmet::sim::set_default_threads(1);
-    let (t1, j1, e1) = ops_experiment(Scale::Quick);
-    let (t2, j2, e2) = ops_experiment(Scale::Quick);
-    ansmet::sim::set_default_threads(4);
-    let (t3, j3, e3) = ops_experiment(Scale::Quick);
-    ansmet::sim::set_default_threads(1);
+    let (t1, j1, e1) = ops_experiment(&Suite::new(Scale::Quick, 1));
+    let (t2, j2, e2) = ops_experiment(&Suite::new(Scale::Quick, 1));
+    let (t3, j3, e3) = ops_experiment(&Suite::new(Scale::Quick, 4));
 
     assert_eq!(t1, t2, "rerun diverged (text)");
     assert_eq!(j1, j2, "rerun diverged (json)");
     assert_eq!(e1, e2, "rerun diverged (exposition)");
-    assert_eq!(t1, t3, "thread default changed the text report");
-    assert_eq!(j1, j3, "thread default changed the json artifact");
-    assert_eq!(e1, e3, "thread default changed the exposition");
+    assert_eq!(t1, t3, "thread count changed the text report");
+    assert_eq!(j1, j3, "thread count changed the json artifact");
+    assert_eq!(e1, e3, "thread count changed the exposition");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! are independent traces replayed on private memory-system state and
 //! merged in query order.
 
-use ansmet::sim::experiment::Scale;
+use ansmet::sim::experiment::{self as e, Scale, Suite};
 use ansmet::sim::{run_design, Design, Parallelism, SystemConfig, Workload};
 use ansmet::vecdata::SynthSpec;
 
@@ -48,25 +48,24 @@ fn more_threads_than_queries_is_identical() {
 }
 
 /// Full quick-scale experiment reports — recall, latency breakdowns,
-/// speedups, fault-recovery accounting — must not change with the
-/// process-wide thread default. `faults` and `fig6` cover the degraded
-/// path and the headline latency comparison respectively.
-///
-/// Both probes live in one test because `set_default_threads` is a
-/// process-wide knob and the harness runs tests concurrently.
+/// speedups, fault-recovery accounting — must not change with the suite's
+/// thread count. Each leg runs in a fresh [`Suite`], so neither can reuse
+/// the other's memoized replays.
+fn experiment_identical_across_thread_counts(run: fn(&Suite) -> String) {
+    let serial = run(&Suite::new(Scale::Quick, 1));
+    let parallel = run(&Suite::new(Scale::Quick, 4));
+    assert_eq!(serial, parallel, "report diverged across thread counts");
+}
+
+/// `fig6` is the headline latency comparison: every design replayed on
+/// every quick dataset.
 #[test]
-fn quick_experiments_identical_across_thread_defaults() {
-    use ansmet::sim::experiment as e;
+fn quick_fig6_identical_across_thread_counts() {
+    experiment_identical_across_thread_counts(e::fig6);
+}
 
-    ansmet::sim::set_default_threads(1);
-    let faults_serial = e::faults(Scale::Quick);
-    let fig6_serial = e::fig6(Scale::Quick, &[10]);
-
-    ansmet::sim::set_default_threads(4);
-    let faults_parallel = e::faults(Scale::Quick);
-    let fig6_parallel = e::fig6(Scale::Quick, &[10]);
-    ansmet::sim::set_default_threads(1);
-
-    assert_eq!(faults_serial, faults_parallel, "faults report diverged");
-    assert_eq!(fig6_serial, fig6_parallel, "fig6 report diverged");
+/// `faults` covers the degraded-mode path.
+#[test]
+fn quick_faults_identical_across_thread_counts() {
+    experiment_identical_across_thread_counts(e::faults);
 }

@@ -185,13 +185,10 @@ fn hedging_lowers_during_storm_p99() {
 
 #[test]
 fn resilience_experiment_byte_stable_across_thread_counts() {
-    use ansmet::sim::experiment::Scale;
+    use ansmet::sim::experiment::{Scale, Suite};
 
-    ansmet::sim::set_default_threads(1);
-    let (t1, j1) = ansmet::serve::resilience_experiment(Scale::Quick);
-    ansmet::sim::set_default_threads(4);
-    let (t2, j2) = ansmet::serve::resilience_experiment(Scale::Quick);
-    ansmet::sim::set_default_threads(1);
+    let (t1, j1) = ansmet::serve::resilience_experiment(&Suite::new(Scale::Quick, 1));
+    let (t2, j2) = ansmet::serve::resilience_experiment(&Suite::new(Scale::Quick, 4));
 
     assert_eq!(t1, t2, "text report diverged across thread counts");
     assert_eq!(j1, j2, "json artifact diverged across thread counts");

@@ -10,10 +10,10 @@
 //! * SLO attainment behaves at the extremes (generous SLO at light load
 //!   is met; attainment is always a valid fraction).
 
-use ansmet::serve::{run_serve, AdmissionConfig, FaultProfile, ServeConfig};
-use ansmet::sim::{SystemConfig, Workload};
+use ansmet::serve::{run_serve, AdmissionConfig, FaultProfile, ServeConfig, StormProfile};
+use ansmet::sim::{Parallelism, SystemConfig, Workload};
 use ansmet::vecdata::SynthSpec;
-use ansmet_faults::FaultRates;
+use ansmet_faults::{FaultRates, StormPlan};
 use ansmet_host::RetryPolicy;
 
 fn small_workload() -> Workload {
@@ -34,17 +34,18 @@ fn no_shed(mut cfg: ServeConfig) -> ServeConfig {
 fn report_bit_identical_across_runs_and_thread_counts() {
     let wl = small_workload();
     let sys = SystemConfig::default();
+    let sys4 = SystemConfig {
+        parallelism: Parallelism::Threads(4),
+        ..SystemConfig::default()
+    };
     let cfg = ServeConfig::open_loop(0xD1CE, 200_000.0, 60, 1_000_000);
 
-    ansmet::sim::set_default_threads(1);
     let serial = run_serve(&wl, &sys, &cfg);
     let serial_again = run_serve(&wl, &sys, &cfg);
-    ansmet::sim::set_default_threads(4);
-    let parallel = run_serve(&wl, &sys, &cfg);
-    ansmet::sim::set_default_threads(1);
+    let parallel = run_serve(&wl, &sys4, &cfg);
 
     assert_eq!(serial, serial_again, "rerun diverged");
-    assert_eq!(serial, parallel, "thread default changed the report");
+    assert_eq!(serial, parallel, "thread count changed the report");
     assert_eq!(serial.to_json(), parallel.to_json());
     assert_eq!(serial.render("t"), parallel.render("t"));
 }
@@ -86,6 +87,38 @@ fn faults_inflate_tail_latency_but_not_results() {
         "faults changed returned neighbors"
     );
     assert!(clean.recovery.is_none());
+}
+
+/// Point faults recover through one fleet path whether or not a storm is
+/// scripted: an empty storm changes no recovery counter and no latency.
+#[test]
+fn faults_only_matches_faults_with_an_empty_storm() {
+    let wl = small_workload();
+    let sys = SystemConfig::default();
+    let faulted = no_shed(ServeConfig::open_loop(0xBEEF, 150_000.0, 80, 2_000_000)).with_faults(
+        FaultProfile {
+            rates: FaultRates::mixed(),
+            seed: 0xFA11,
+            retry: RetryPolicy::default_ndp(),
+        },
+    );
+    let stormed = faulted.clone().with_storm(StormProfile {
+        plan: StormPlan::none(),
+        retry: RetryPolicy::default_ndp(),
+    });
+
+    let a = run_serve(&wl, &sys, &faulted);
+    let b = run_serve(&wl, &sys, &stormed);
+    let rec = a.recovery.expect("faults-only run reports recovery");
+    assert!(rec.crc_rejections > 0 && rec.timeouts > 0, "{rec:?}");
+    assert_eq!(Some(rec), b.recovery, "recovery counters diverged");
+    assert_eq!(a.makespan_cycles, b.makespan_cycles);
+    assert_eq!((a.queue, a.execute, a.total), (b.queue, b.execute, b.total));
+    assert!(
+        a.resilience.is_none(),
+        "faults alone configure no resilience"
+    );
+    assert!(b.resilience.is_some());
 }
 
 #[test]
