@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use ansmet_vecdata::Dataset;
 
-use crate::analysis::first_termination_position;
+use crate::analysis::PrefixTable;
 
 /// Parameters of the sampling pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,19 +90,23 @@ impl SamplingProfile {
         dists.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
         let threshold = percentile(&dists, cfg.threshold_percentile);
 
-        // First-termination positions over sample pairs.
+        // First-termination positions over sample pairs: one prefix table
+        // per stored sample, every other sample as a query against it.
+        // Tables are built one at a time to bound memory (about 250 KB
+        // each for GIST). The histogram holds integer counts, so the
+        // pair order does not change it.
         let bits = data.dtype().bits() as usize;
         let mut hist = vec![0usize; bits];
         let mut never = 0usize;
         let mut pairs = 0usize;
-        for &q in &ids {
-            let query = data.vector(q).to_vec();
-            for &id in &ids {
-                if id == q {
+        for &id in &ids {
+            let table = PrefixTable::new(data, id);
+            for &q in &ids {
+                if q == id {
                     continue;
                 }
                 pairs += 1;
-                match first_termination_position(data, id, &query, threshold) {
+                match table.first_termination(data.vector(q), threshold) {
                     Some(p) if p >= 1 => hist[(p as usize - 1).min(bits - 1)] += 1,
                     Some(_) => hist[0] += 1,
                     None => never += 1,
@@ -163,7 +167,87 @@ pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::reference_first_termination_position;
     use ansmet_vecdata::SynthSpec;
+
+    /// `SamplingProfile::build` as it was before prefix tables: query
+    /// outer, stored sample inner, the per-pair reference kernel.
+    fn reference_build(data: &Dataset, cfg: &SamplingConfig) -> SamplingProfile {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut ids: Vec<usize> = (0..data.len()).collect();
+        ids.shuffle(&mut rng);
+        ids.truncate(cfg.n_samples.max(2).min(data.len()));
+        ids.sort_unstable();
+        let mut dists = Vec::new();
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids[i + 1..] {
+                dists.push(data.distance_to(a, data.vector(b)));
+            }
+        }
+        dists.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
+        let threshold = percentile(&dists, cfg.threshold_percentile);
+        let bits = data.dtype().bits() as usize;
+        let mut hist = vec![0usize; bits];
+        let (mut never, mut pairs) = (0usize, 0usize);
+        for &q in &ids {
+            let query = data.vector(q).to_vec();
+            for &id in &ids {
+                if id == q {
+                    continue;
+                }
+                pairs += 1;
+                match reference_first_termination_position(data, id, &query, threshold) {
+                    Some(p) if p >= 1 => hist[(p as usize - 1).min(bits - 1)] += 1,
+                    Some(_) => hist[0] += 1,
+                    None => never += 1,
+                }
+            }
+        }
+        let total = pairs.max(1) as f64;
+        SamplingProfile {
+            sample_ids: ids,
+            threshold,
+            et_histogram: hist.into_iter().map(|c| c as f64 / total).collect(),
+            never_frac: never as f64 / total,
+        }
+    }
+
+    /// Every float of a profile as raw bits, so equality is bit-exact.
+    fn profile_bits(p: &SamplingProfile) -> (Vec<usize>, u32, Vec<u64>, u64) {
+        (
+            p.sample_ids.clone(),
+            p.threshold.to_bits(),
+            p.et_histogram.iter().map(|f| f.to_bits()).collect(),
+            p.never_frac.to_bits(),
+        )
+    }
+
+    #[test]
+    fn build_matches_reference_bit_for_bit() {
+        for spec in [
+            SynthSpec::sift(),
+            SynthSpec::deep(),
+            SynthSpec::gist(),
+            SynthSpec::spacev(),
+        ] {
+            for seed in [1u64, 2, 9001] {
+                let (data, _) = spec.clone().scaled(120, 1).with_seed(seed).generate();
+                for pct in [0.02, 0.1, 0.5] {
+                    let cfg = SamplingConfig {
+                        n_samples: 24,
+                        threshold_percentile: pct,
+                        seed,
+                    };
+                    assert_eq!(
+                        profile_bits(&SamplingProfile::build(&data, &cfg)),
+                        profile_bits(&reference_build(&data, &cfg)),
+                        "{} seed {seed} percentile {pct}",
+                        data.name()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn percentile_basics() {

@@ -151,9 +151,7 @@ impl Hnsw {
         for layer in (node_level + 1..=entry_level).rev() {
             loop {
                 let mut improved = false;
-                // Clone to avoid borrow issues; degree ≤ m_max0.
-                let neigh = self.links[layer][curr].clone();
-                for nb in neigh {
+                for &nb in &self.links[layer][curr] {
                     let d = data.distance_to(nb, query);
                     if d < curr_dist {
                         curr = nb;
@@ -246,6 +244,8 @@ impl Hnsw {
         let mut sorted: Vec<Neighbor> = candidates.to_vec();
         sorted.sort();
         let mut kept: Vec<usize> = Vec::with_capacity(m);
+        let metric = data.metric();
+        let node_vec = data.vector(node);
         for c in &sorted {
             if c.id == node {
                 continue;
@@ -253,12 +253,11 @@ impl Hnsw {
             if kept.len() >= m {
                 break;
             }
-            let node_vec = data.vector(node);
-            let ok = kept.iter().all(|&r| {
-                let d_cr = data.metric().distance(data.vector(c.id), data.vector(r));
-                let d_cq = data.metric().distance(data.vector(c.id), node_vec);
-                d_cq < d_cr
-            });
+            let c_vec = data.vector(c.id);
+            let d_cq = metric.distance(c_vec, node_vec);
+            let ok = kept
+                .iter()
+                .all(|&r| d_cq < metric.distance(c_vec, data.vector(r)));
             if ok {
                 kept.push(c.id);
             }
