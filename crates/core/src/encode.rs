@@ -20,6 +20,7 @@ use ansmet_vecdata::ElemType;
 /// Convert a raw storage pattern (LSB-aligned, from
 /// [`ansmet_vecdata::Dataset::raw_vector`]) to its sortable encoding
 /// (LSB-aligned in the type's bit width).
+#[inline]
 pub fn to_sortable(dtype: ElemType, raw: u32) -> u32 {
     match dtype {
         ElemType::U8 => raw & 0xff,
@@ -43,6 +44,7 @@ pub fn to_sortable(dtype: ElemType, raw: u32) -> u32 {
 }
 
 /// Inverse of [`to_sortable`]: recover the raw storage pattern.
+#[inline]
 pub fn from_sortable(dtype: ElemType, sortable: u32) -> u32 {
     match dtype {
         ElemType::U8 => sortable & 0xff,

@@ -13,11 +13,10 @@
 //! uncompressed backup when common-prefix elimination dropped outlier
 //! bits).
 
-use ansmet_vecdata::Dataset;
+use ansmet_vecdata::{Dataset, ElemType, Metric};
 
-use crate::bound::DistanceBounder;
 use crate::encode::to_sortable;
-use crate::interval::ValueInterval;
+use crate::kernel::{refine, Bf16, Comparison, Ip, Known, Refined, F16, F32, I8, L2, U8};
 use crate::observe::{EtObserver, NoopEtObserver};
 use crate::prefix::PrefixSpec;
 use crate::schedule::{FetchSchedule, LinePlan};
@@ -103,6 +102,30 @@ impl EvalCost {
     pub fn effective_distance(&self) -> Option<f32> {
         self.distance.or(self.approx_distance)
     }
+
+    /// A comparison terminated on `bound` after `lines` lines.
+    fn pruned(lines: usize, bound: f64) -> Self {
+        EvalCost {
+            lines,
+            backup_lines: 0,
+            pruned: true,
+            distance: None,
+            approx_distance: None,
+            final_bound: bound,
+        }
+    }
+
+    /// A comparison that ended on `bound` without an exact distance.
+    fn approximate(lines: usize, bound: f64) -> Self {
+        EvalCost {
+            lines,
+            backup_lines: 0,
+            pruned: false,
+            distance: None,
+            approx_distance: Some(bound as f32),
+            final_bound: bound,
+        }
+    }
 }
 
 /// Reusable buffers for [`EtEngine`] evaluations.
@@ -126,20 +149,6 @@ impl EtScratch {
     }
 }
 
-/// Blocked 4-accumulator f64 sum (keeps independent addition chains).
-fn sum4(xs: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    let mut it = xs.chunks_exact(4);
-    for c in &mut it {
-        acc[0] += c[0];
-        acc[1] += c[1];
-        acc[2] += c[2];
-        acc[3] += c[3];
-    }
-    let tail: f64 = it.remainder().iter().sum();
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
 /// Per-vector precomputed prefix-elimination state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VectorClass {
@@ -152,13 +161,13 @@ enum VectorClass {
 }
 
 /// The early-termination evaluation engine for one dataset + config.
+///
+/// The engine keeps no copy of the vectors: the kernel reads each raw
+/// element from the dataset and encodes it as it goes (DESIGN §7.6).
 #[derive(Debug)]
 pub struct EtEngine<'a> {
     data: &'a Dataset,
     cfg: EtConfig,
-    bounder: DistanceBounder,
-    /// Sortable encodings, vector-major.
-    sortable: Vec<u32>,
     /// Full-vector line plan.
     plan: Vec<LinePlan>,
     /// Cumulative payload bits per schedule step (hoisted out of the
@@ -166,34 +175,28 @@ pub struct EtEngine<'a> {
     cumulative: Vec<u32>,
     /// Per-vector format class.
     class: Vec<VectorClass>,
-    /// Per-element matched prefix length (only for outlier vectors).
+    /// Per-element matched prefix length (only with prefix elimination).
     matched: Vec<u32>,
 }
 
 impl<'a> EtEngine<'a> {
-    /// Build the engine (precomputes sortable encodings and vector
-    /// classification).
+    /// Build the engine (classifies vectors under the prefix spec, if
+    /// any).
     pub fn new(data: &'a Dataset, cfg: EtConfig) -> Self {
         let dtype = data.dtype();
         let dim = data.dim();
         let n = data.len();
-        let mut sortable = Vec::with_capacity(n * dim);
-        for i in 0..n {
-            for &raw in data.raw_vector(i) {
-                sortable.push(to_sortable(dtype, raw));
-            }
-        }
         let (class, matched) = match &cfg.prefix {
             None => (vec![VectorClass::Plain; n], Vec::new()),
             Some(spec) if spec.is_disabled() => (vec![VectorClass::Plain; n], Vec::new()),
             Some(spec) => {
                 let mut class = Vec::with_capacity(n);
-                let mut matched = vec![0u32; n * dim];
+                let mut matched = Vec::with_capacity(n * dim);
                 for i in 0..n {
                     let mut has_outlier = false;
-                    for d in 0..dim {
-                        let m = spec.matched_len(d, sortable[i * dim + d]);
-                        matched[i * dim + d] = m;
+                    for (d, &raw) in data.raw_vector(i).iter().enumerate() {
+                        let m = spec.matched_len(d, to_sortable(dtype, raw));
+                        matched.push(m);
                         if m < spec.len() {
                             has_outlier = true;
                         }
@@ -209,12 +212,9 @@ impl<'a> EtEngine<'a> {
         };
         let plan = cfg.schedule.line_plan(dim);
         let cumulative = cfg.schedule.cumulative_bits();
-        let bounder = DistanceBounder::new(data.metric());
         EtEngine {
             data,
             cfg,
-            bounder,
-            sortable,
             plan,
             cumulative,
             class,
@@ -242,44 +242,46 @@ impl<'a> EtEngine<'a> {
         self.data.vector_lines()
     }
 
-    /// Effective known prefix length of element `(id, d)` after
-    /// `payload_bits` of its stored payload have been fetched. The
-    /// vector's format class is passed in (hoisted once per comparison
-    /// instead of re-read per element).
-    fn known_prefix_for(&self, class: VectorClass, id: usize, d: usize, payload_bits: u32) -> u32 {
-        let bits = self.data.dtype().bits();
-        match class {
-            VectorClass::Plain => payload_bits.min(bits),
-            VectorClass::Normal => {
-                let prefix = self.cfg.prefix.as_ref().expect("normal implies prefix");
-                (prefix.len() + payload_bits).min(bits)
-            }
+    /// How vector `id`'s elements know their prefix length.
+    fn known(&self, id: usize) -> Known<'_> {
+        let spec = || {
+            self.cfg
+                .prefix
+                .as_ref()
+                .expect("prefix classes imply a spec")
+        };
+        match self.class[id] {
+            VectorClass::Plain => Known::Uniform { base: 0 },
+            VectorClass::Normal => Known::Uniform { base: spec().len() },
             VectorClass::Outlier => {
-                let prefix = self.cfg.prefix.as_ref().expect("outlier implies prefix");
-                let m = self.matched[id * self.data.dim() + d];
-                let meta = prefix.outlier_meta_bits();
-                if m == prefix.len() {
-                    // Normal element inside an outlier vector: one 01Elm
-                    // flag bit precedes the payload.
-                    (prefix.len() + payload_bits.saturating_sub(1)).min(bits)
-                } else {
-                    // Outlier element: metadata precedes payload; stored
-                    // bits resume at the mismatch position. The lowest
-                    // bits are dropped (the interval stays conservative).
-                    let payload_cap = (bits - prefix.len()).saturating_sub(meta);
-                    let usable = payload_bits.saturating_sub(meta).min(payload_cap);
-                    (m + usable).min(bits)
+                let dim = self.data.dim();
+                Known::Outlier {
+                    matched: &self.matched[id * dim..(id + 1) * dim],
+                    prefix_len: spec().len(),
+                    meta: spec().outlier_meta_bits(),
                 }
             }
         }
     }
 
-    fn interval(&self, id: usize, d: usize, known: u32) -> ValueInterval {
-        let dtype = self.data.dtype();
-        let bits = dtype.bits();
-        let s = self.sortable[id * self.data.dim() + d];
-        let prefix = if known == 0 { 0 } else { s >> (bits - known) };
-        ValueInterval::from_prefix(dtype, prefix, known)
+    /// Run the bound kernel instance for the dataset's dtype and metric:
+    /// the one dispatch, outside the loop. Not generic itself, so the ten
+    /// instances are compiled once, here, whatever observer the caller
+    /// uses.
+    fn refine(&self, cmp: &Comparison<'_>, contribs: &mut Vec<f64>) -> Refined {
+        match (self.data.dtype(), self.data.metric()) {
+            (ElemType::U8, Metric::L2) => refine::<U8, L2>(cmp, contribs),
+            (ElemType::U8, Metric::Ip) => refine::<U8, Ip>(cmp, contribs),
+            (ElemType::I8, Metric::L2) => refine::<I8, L2>(cmp, contribs),
+            (ElemType::I8, Metric::Ip) => refine::<I8, Ip>(cmp, contribs),
+            (ElemType::F16, Metric::L2) => refine::<F16, L2>(cmp, contribs),
+            (ElemType::F16, Metric::Ip) => refine::<F16, Ip>(cmp, contribs),
+            (ElemType::Bf16, Metric::L2) => refine::<Bf16, L2>(cmp, contribs),
+            (ElemType::Bf16, Metric::Ip) => refine::<Bf16, Ip>(cmp, contribs),
+            (ElemType::F32, Metric::L2) => refine::<F32, L2>(cmp, contribs),
+            (ElemType::F32, Metric::Ip) => refine::<F32, Ip>(cmp, contribs),
+            (_, Metric::Cosine) => unreachable!("datasets fold cosine to IP on construction"),
+        }
     }
 
     /// Whether the fully-fetched compressed form of vector `id` is exact
@@ -290,6 +292,9 @@ impl<'a> EtEngine<'a> {
     }
 
     /// Evaluate one comparison over the full vector.
+    ///
+    /// Allocates a fresh [`EtScratch`]; loops over many comparisons
+    /// should hold one and call [`EtEngine::evaluate_with`].
     ///
     /// # Panics
     ///
@@ -399,106 +404,39 @@ impl<'a> EtEngine<'a> {
         if dims.end > dim {
             return Err(crate::EtError::RangeOutOfBounds { end: dims.end, dim });
         }
-        let sub = dims.len();
         let full = dims.len() == dim;
-        let class = self.class[id];
         let EtScratch { contribs, subplan } = scratch;
 
         // Line plan: the transformed layout of the sub-vector only.
         let plan: &[LinePlan] = if full {
             &self.plan
         } else {
-            self.cfg.schedule.line_plan_into(sub, subplan);
+            self.cfg.schedule.line_plan_into(dims.len(), subplan);
             subplan
         };
 
-        // Initial contributions with zero payload fetched. Unbounded
-        // dimensions (−∞, e.g. unfetched FP32 under inner product) are
-        // counted separately so incremental updates stay well-defined.
-        contribs.clear();
-        contribs.resize(sub, 0.0);
-        let mut unbounded = 0usize;
-        for (j, d) in dims.clone().enumerate() {
-            let known = self.known_prefix_for(class, id, d, 0);
-            let c = self
-                .bounder
-                .contribution(self.interval(id, d, known), query[d]);
-            contribs[j] = c;
-            if c == f64::NEG_INFINITY {
-                unbounded += 1;
-            }
-        }
-        // Blocked 4-wide reduction of the finite contributions.
-        let mut finite_sum = if unbounded == 0 {
-            sum4(contribs)
-        } else {
-            contribs
-                .iter()
-                .filter(|&&c| c != f64::NEG_INFINITY)
-                .sum::<f64>()
+        let cmp = Comparison {
+            raw: self.data.raw_vector(id),
+            values: self.data.vector(id),
+            query,
+            dims,
+            plan,
+            cumulative: &self.cumulative,
+            known: self.known(id),
+            threshold: threshold as f64,
         };
-        let bound_of = |unbounded: usize, finite_sum: f64| {
-            if unbounded > 0 {
-                f64::NEG_INFINITY
-            } else {
-                finite_sum
-            }
-        };
-        let mut bound = bound_of(unbounded, finite_sum);
-        if bound >= threshold as f64 {
-            obs.terminated(0, plan.len());
-            return Ok(EvalCost {
-                lines: 0,
-                backup_lines: 0,
-                pruned: true,
-                distance: None,
-                approx_distance: None,
-                final_bound: bound,
-            });
+        let refined = self.refine(&cmp, contribs);
+        let (lines, bound) = (refined.lines, refined.bound);
+        if refined.pruned {
+            obs.terminated(lines, plan.len());
+            return Ok(EvalCost::pruned(lines, bound));
         }
-
-        // Fetch line by line, refining each covered dimension's interval
-        // and accumulating bound deltas in four independent f64 chains.
-        let mut lines = 0usize;
-        for lp in plan.iter() {
-            lines += 1;
-            let payload_after = self.cumulative[lp.step];
-            let mut delta = [0.0f64; 4];
-            #[allow(clippy::needless_range_loop)] // indexed dimension-range loops read clearer here
-            for j in lp.dim_start..lp.dim_end {
-                let d = dims.start + j;
-                let known = self.known_prefix_for(class, id, d, payload_after);
-                let c = self
-                    .bounder
-                    .contribution(self.interval(id, d, known), query[d]);
-                let old = contribs[j];
-                contribs[j] = c;
-                if old == f64::NEG_INFINITY {
-                    if c != f64::NEG_INFINITY {
-                        unbounded -= 1;
-                        delta[j & 3] += c;
-                    }
-                } else {
-                    delta[j & 3] += c - old;
-                }
-            }
-            finite_sum += (delta[0] + delta[1]) + (delta[2] + delta[3]);
-            bound = bound_of(unbounded, finite_sum);
-            if bound >= threshold as f64 && lines < plan.len() {
-                obs.terminated(lines, plan.len());
-                return Ok(EvalCost {
-                    lines,
-                    backup_lines: 0,
-                    pruned: true,
-                    distance: None,
-                    approx_distance: None,
-                    final_bound: bound,
-                });
-            }
+        if !full {
+            // Sub-vector evaluation: the kernel reports the local
+            // partial contribution.
+            return Ok(EvalCost::approximate(lines, bound));
         }
-
-        // Fully fetched.
-        if full && self.fully_exact(id) {
+        if self.fully_exact(id) {
             // The compressed form reconstructs the exact vector.
             let distance = self.data.distance_to(id, query);
             return Ok(EvalCost {
@@ -510,57 +448,25 @@ impl<'a> EtEngine<'a> {
                 final_bound: distance as f64,
             });
         }
-        if full {
-            // Outlier vector: dropped bits → only a bound is known.
-            if bound >= threshold as f64 {
-                // Certainly out of bounds; no backup needed.
-                obs.terminated(lines, plan.len());
-                return Ok(EvalCost {
-                    lines,
-                    backup_lines: 0,
-                    pruned: true,
-                    distance: None,
-                    approx_distance: None,
-                    final_bound: bound,
-                });
-            }
-            if self.cfg.backup_recheck {
-                obs.backup_recheck(self.natural_lines());
-                let distance = self.data.distance_to(id, query);
-                return Ok(EvalCost {
-                    lines,
-                    backup_lines: self.natural_lines(),
-                    pruned: false,
-                    distance: Some(distance),
-                    approx_distance: None,
-                    final_bound: bound,
-                });
-            }
+        // Outlier vector: dropped bits → only a bound is known.
+        if bound >= threshold as f64 {
+            // Certainly out of bounds; no backup needed.
+            obs.terminated(lines, plan.len());
+            return Ok(EvalCost::pruned(lines, bound));
+        }
+        if self.cfg.backup_recheck {
+            obs.backup_recheck(self.natural_lines());
+            let distance = self.data.distance_to(id, query);
             return Ok(EvalCost {
                 lines,
-                backup_lines: 0,
+                backup_lines: self.natural_lines(),
                 pruned: false,
-                distance: None,
-                approx_distance: Some(bound as f32),
+                distance: Some(distance),
+                approx_distance: None,
                 final_bound: bound,
             });
         }
-        // Sub-vector evaluation: report the local partial contribution.
-        let partial: f64 = dims
-            .clone()
-            .map(|d| {
-                self.bounder
-                    .contribution(ValueInterval::exact(self.data.vector(id)[d]), query[d])
-            })
-            .sum();
-        Ok(EvalCost {
-            lines,
-            backup_lines: 0,
-            pruned: false,
-            distance: None,
-            approx_distance: Some(partial as f32),
-            final_bound: partial,
-        })
+        Ok(EvalCost::approximate(lines, bound))
     }
 }
 
@@ -570,6 +476,7 @@ impl<'a> EtEngine<'a> {
 #[derive(Debug)]
 pub struct EtOracle<'a> {
     engine: &'a EtEngine<'a>,
+    scratch: EtScratch,
     comparisons: u64,
     /// Transformed-layout lines fetched so far.
     pub lines: u64,
@@ -584,6 +491,7 @@ impl<'a> EtOracle<'a> {
     pub fn new(engine: &'a EtEngine<'a>) -> Self {
         EtOracle {
             engine,
+            scratch: EtScratch::new(),
             comparisons: 0,
             lines: 0,
             backup_lines: 0,
@@ -606,7 +514,9 @@ impl ansmet_index::DistanceOracle for EtOracle<'_> {
         threshold: f32,
     ) -> ansmet_index::DistanceOutcome {
         self.comparisons += 1;
-        let cost = self.engine.evaluate(id, query, threshold);
+        let cost = self
+            .engine
+            .evaluate_with(id, query, threshold, &mut self.scratch);
         self.lines += cost.lines as u64;
         self.backup_lines += cost.backup_lines as u64;
         if cost.pruned {
@@ -628,7 +538,345 @@ impl ansmet_index::DistanceOracle for EtOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ansmet_vecdata::{ElemType, Metric, SynthSpec};
+    use crate::bound::DistanceBounder;
+    use crate::interval::ValueInterval;
+    use crate::kernel::sum4;
+    use ansmet_vecdata::SynthSpec;
+
+    /// Known prefix length of element `(id, d)` after `payload_bits` of
+    /// its stored payload have been fetched, decided per element (the
+    /// reference form of the kernel's per-line mask).
+    fn reference_known(e: &EtEngine<'_>, id: usize, d: usize, payload_bits: u32) -> u32 {
+        let bits = e.data.dtype().bits();
+        match e.class[id] {
+            VectorClass::Plain => payload_bits.min(bits),
+            VectorClass::Normal => {
+                let prefix = e.cfg.prefix.as_ref().expect("normal implies prefix");
+                (prefix.len() + payload_bits).min(bits)
+            }
+            VectorClass::Outlier => {
+                let prefix = e.cfg.prefix.as_ref().expect("outlier implies prefix");
+                let m = e.matched[id * e.data.dim() + d];
+                let meta = prefix.outlier_meta_bits();
+                if m == prefix.len() {
+                    (prefix.len() + payload_bits.saturating_sub(1)).min(bits)
+                } else {
+                    let payload_cap = (bits - prefix.len()).saturating_sub(meta);
+                    let usable = payload_bits.saturating_sub(meta).min(payload_cap);
+                    (m + usable).min(bits)
+                }
+            }
+        }
+    }
+
+    fn reference_interval(e: &EtEngine<'_>, id: usize, d: usize, known: u32) -> ValueInterval {
+        let dtype = e.data.dtype();
+        let bits = dtype.bits();
+        let s = to_sortable(dtype, e.data.raw_vector(id)[d]);
+        let prefix = if known == 0 { 0 } else { s >> (bits - known) };
+        ValueInterval::from_prefix(dtype, prefix, known)
+    }
+
+    /// The per-element evaluation the kernel replaced: `known` decided
+    /// per element, `ValueInterval::from_prefix` per element and the
+    /// branchy `DistanceBounder::contribution`. The kernel must match it
+    /// bit for bit (`kernel_matches_reference`).
+    fn reference_evaluate<O: EtObserver>(
+        e: &EtEngine<'_>,
+        id: usize,
+        query: &[f32],
+        dims: std::ops::Range<usize>,
+        threshold: f32,
+        obs: &mut O,
+    ) -> EvalCost {
+        let bounder = DistanceBounder::new(e.data.metric());
+        let dim = e.data.dim();
+        let sub = dims.len();
+        let full = sub == dim;
+        let plan = e.cfg.schedule.line_plan(sub);
+        let mut contribs = vec![0.0f64; sub];
+        let mut unbounded = 0usize;
+        for (j, d) in dims.clone().enumerate() {
+            let known = reference_known(e, id, d, 0);
+            let c = bounder.contribution(reference_interval(e, id, d, known), query[d]);
+            contribs[j] = c;
+            if c == f64::NEG_INFINITY {
+                unbounded += 1;
+            }
+        }
+        let mut finite_sum = if unbounded == 0 {
+            sum4(&contribs)
+        } else {
+            contribs
+                .iter()
+                .filter(|&&c| c != f64::NEG_INFINITY)
+                .sum::<f64>()
+        };
+        let bound_of = |unbounded: usize, finite_sum: f64| {
+            if unbounded > 0 {
+                f64::NEG_INFINITY
+            } else {
+                finite_sum
+            }
+        };
+        let mut bound = bound_of(unbounded, finite_sum);
+        if bound >= threshold as f64 {
+            obs.terminated(0, plan.len());
+            return EvalCost::pruned(0, bound);
+        }
+        let mut lines = 0usize;
+        for lp in &plan {
+            lines += 1;
+            let payload_after = e.cumulative[lp.step];
+            let mut delta = [0.0f64; 4];
+            for j in lp.dim_start..lp.dim_end {
+                let d = dims.start + j;
+                let known = reference_known(e, id, d, payload_after);
+                let c = bounder.contribution(reference_interval(e, id, d, known), query[d]);
+                let old = contribs[j];
+                contribs[j] = c;
+                if old == f64::NEG_INFINITY {
+                    if c != f64::NEG_INFINITY {
+                        unbounded -= 1;
+                        delta[j & 3] += c;
+                    }
+                } else {
+                    delta[j & 3] += c - old;
+                }
+            }
+            finite_sum += (delta[0] + delta[1]) + (delta[2] + delta[3]);
+            bound = bound_of(unbounded, finite_sum);
+            if bound >= threshold as f64 && lines < plan.len() {
+                obs.terminated(lines, plan.len());
+                return EvalCost::pruned(lines, bound);
+            }
+        }
+        if !full {
+            let partial: f64 = dims
+                .map(|d| bounder.contribution(ValueInterval::exact(e.data.vector(id)[d]), query[d]))
+                .sum();
+            return EvalCost::approximate(lines, partial);
+        }
+        if e.fully_exact(id) {
+            let distance = e.data.distance_to(id, query);
+            return EvalCost {
+                lines,
+                backup_lines: 0,
+                pruned: false,
+                distance: Some(distance),
+                approx_distance: None,
+                final_bound: distance as f64,
+            };
+        }
+        if bound >= threshold as f64 {
+            obs.terminated(lines, plan.len());
+            return EvalCost::pruned(lines, bound);
+        }
+        if e.cfg.backup_recheck {
+            obs.backup_recheck(e.natural_lines());
+            let distance = e.data.distance_to(id, query);
+            return EvalCost {
+                lines,
+                backup_lines: e.natural_lines(),
+                pruned: false,
+                distance: Some(distance),
+                approx_distance: None,
+                final_bound: bound,
+            };
+        }
+        EvalCost::approximate(lines, bound)
+    }
+
+    /// Records the observer call sequence.
+    #[derive(Debug, Default, PartialEq)]
+    struct Calls(Vec<(&'static str, usize, usize)>);
+
+    impl EtObserver for Calls {
+        fn terminated(&mut self, lines: usize, planned: usize) {
+            self.0.push(("terminated", lines, planned));
+        }
+        fn backup_recheck(&mut self, lines: usize) {
+            self.0.push(("backup", lines, 0));
+        }
+    }
+
+    /// Every `EvalCost` field, floats as bits.
+    fn cost_bits(c: &EvalCost) -> (usize, usize, bool, Option<u32>, Option<u32>, u64) {
+        (
+            c.lines,
+            c.backup_lines,
+            c.pruned,
+            c.distance.map(f32::to_bits),
+            c.approx_distance.map(f32::to_bits),
+            c.final_bound.to_bits(),
+        )
+    }
+
+    proptest::proptest! {
+        /// The kernel equals the per-element reference on every field and
+        /// every observer call: U8, I8, F16, BF16 and F32 under L2 and IP;
+        /// plain, normal and outlier vectors (with and without the backup
+        /// re-check); the simple heuristic, bit-serial and optimized dual
+        /// schedules; full ranges and sub-ranges; thresholds on both sides
+        /// of the exact distance.
+        #[test]
+        fn kernel_matches_reference(
+            dtype_ix in 0usize..5,
+            ip in 0u8..2,
+            layout in 0u8..4,
+            sched in 0u8..3,
+            plen in 1u32..8,
+            dim in 1usize..=40,
+            raw in proptest::collection::vec(-1.0f32..1.0, 40 * 10),
+            range in proptest::collection::vec(0usize..40, 2),
+            full in 0u8..2,
+            slack in -1.0f64..1.0,
+        ) {
+            const N: usize = 8;
+            let dtype = [ElemType::U8, ElemType::I8, ElemType::F16, ElemType::Bf16, ElemType::F32]
+                [dtype_ix];
+            let metric = if ip == 1 { Metric::Ip } else { Metric::L2 };
+            // Integer types span their range; floats vary sign and exponent.
+            let scale = |v: f32| match dtype {
+                ElemType::U8 => 128.0 + v * 127.0,
+                ElemType::I8 => v * 127.0,
+                _ => v * v * v * 64.0,
+            };
+            // Vectors cluster around a per-dimension centre, so a short
+            // common prefix leaves both normal and outlier vectors.
+            let centre = &raw[N * 40..N * 40 + dim];
+            let values: Vec<f32> = (0..N * dim)
+                .map(|k| scale(0.8 * centre[k % dim] + 0.2 * raw[(k / dim) * 40 + k % dim]))
+                .collect();
+            let query: Vec<f32> = raw[(N + 1) * 40..(N + 1) * 40 + dim].iter().map(|&v| scale(v)).collect();
+            let data = Dataset::from_values("k", dtype, metric, dim, values);
+            let bits = dtype.bits();
+
+            // layout 0: no prefix; 1: prefix (normal + outlier vectors);
+            // 2: prefix without the backup re-check; 3: a disabled spec.
+            let prefix = match layout {
+                0 => None,
+                3 => Some(PrefixSpec::disabled(dtype, dim)),
+                _ => {
+                    let s0: Vec<u32> = data
+                        .raw_vector(0)
+                        .iter()
+                        .map(|&r| to_sortable(dtype, r) >> (bits - plen))
+                        .collect();
+                    Some(PrefixSpec::from_parts(dtype, plen, s0))
+                }
+            };
+            let plen = prefix.as_ref().map_or(0, PrefixSpec::len);
+            let schedule = match sched {
+                0 => FetchSchedule::uniform_after_prefix(dtype, plen, if dtype.is_float() { 8 } else { 4 }),
+                1 => FetchSchedule::uniform_after_prefix(dtype, plen, 1),
+                _ => {
+                    let hist: Vec<f64> = raw[..bits as usize].iter().map(|v| v.abs() as f64 / bits as f64).collect();
+                    crate::optimize_dual_schedule(dim, bits, plen, &hist, 0.1).schedule(dtype, plen)
+                }
+            };
+            let cfg = match prefix {
+                None => EtConfig::new(schedule),
+                Some(spec) if layout == 2 => EtConfig::with_prefix(schedule, spec).without_backup(),
+                Some(spec) => EtConfig::with_prefix(schedule, spec),
+            };
+            let e = EtEngine::new(&data, cfg);
+            // Without a prefix the engine holds nothing per element.
+            proptest::prop_assert_eq!(e.matched.is_empty(), layout == 0 || layout == 3);
+            let dims = if full == 1 {
+                0..dim
+            } else {
+                let (a, b) = (range[0] % dim, range[1] % dim);
+                a.min(b)..a.max(b) + 1
+            };
+            let mut scratch = EtScratch::new();
+            for id in 0..N {
+                let exact = data.distance_to(id, &query) as f64 * dims.len() as f64 / dim as f64;
+                let threshold = (exact + slack * (exact.abs() + 1.0)) as f32;
+                let (mut got_calls, mut want_calls) = (Calls::default(), Calls::default());
+                let got = e
+                    .evaluate_range_obs(id, &query, dims.clone(), threshold, &mut scratch, &mut got_calls)
+                    .expect("in range");
+                let want = reference_evaluate(&e, id, &query, dims.clone(), threshold, &mut want_calls);
+                proptest::prop_assert_eq!(cost_bits(&got), cost_bits(&want));
+                proptest::prop_assert_eq!(got_calls, want_calls);
+            }
+        }
+    }
+
+    /// The kernel equals the reference on generated SPACEV (I8: normal
+    /// and outlier vectors) and GIST (F32: every vector an outlier)
+    /// shapes under a chosen common prefix.
+    #[test]
+    fn kernel_matches_reference_on_outlier_vectors() {
+        for (spec, outlier_frac) in [(SynthSpec::spacev(), 0.01), (SynthSpec::gist(), 0.05)] {
+            let (data, queries) = spec.scaled(120, 2).generate();
+            let ids: Vec<usize> = (0..100).collect();
+            let prefix = PrefixSpec::choose(&data, &ids, outlier_frac);
+            assert!(!prefix.is_empty(), "{}: no common prefix", data.name());
+            let schedules = [
+                FetchSchedule::uniform_after_prefix(data.dtype(), prefix.len(), 4),
+                FetchSchedule::uniform_after_prefix(data.dtype(), prefix.len(), 1),
+            ];
+            for schedule in schedules {
+                let e = EtEngine::new(&data, EtConfig::with_prefix(schedule, prefix.clone()));
+                assert!(e.class.contains(&VectorClass::Outlier), "{}", data.name());
+                let mut scratch = EtScratch::new();
+                for q in &queries {
+                    for id in 0..data.len() {
+                        let d = data.distance_to(id, q);
+                        for threshold in [d * 0.9, d * 1.1 + 1.0, f32::INFINITY] {
+                            let (mut got_calls, mut want_calls) =
+                                (Calls::default(), Calls::default());
+                            let got =
+                                e.evaluate_obs(id, q, threshold, &mut scratch, &mut got_calls);
+                            let want = reference_evaluate(
+                                &e,
+                                id,
+                                q,
+                                0..data.dim(),
+                                threshold,
+                                &mut want_calls,
+                            );
+                            assert_eq!(
+                                cost_bits(&got),
+                                cost_bits(&want),
+                                "{} id {id}",
+                                data.name()
+                            );
+                            assert_eq!(got_calls, want_calls);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Known defect, kept visible: under inner product on a float type
+    /// an element whose interval still spans many binades contributes
+    /// about −|q|·2¹²¹. The next line's delta cancels that against a
+    /// finite contribution, the f64 sum keeps an absolute error of one
+    /// ulp of the huge term, and the bound overshoots the exact distance.
+    /// Bit-serial schedules expose it; 8-bit first steps learn the
+    /// exponent in one line and do not. See ROADMAP.md.
+    #[test]
+    #[ignore = "known defect: float inner-product bound overshoots under bit-serial fetch"]
+    fn float_ip_bound_never_exceeds_exact_distance() {
+        let data = Dataset::from_values("ip", ElemType::F32, Metric::Ip, 1, vec![-16.097132]);
+        let q = [-10.409412f32];
+        let exact = data.distance_to(0, &q);
+        let e = EtEngine::new(
+            &data,
+            EtConfig::new(FetchSchedule::bit_serial(ElemType::F32)),
+        );
+        // A threshold above the exact distance must never prune.
+        let c = e.evaluate(0, &q, exact + 100.0);
+        assert!(
+            !c.pruned,
+            "pruned after {} lines on bound {} although the distance is {exact}",
+            c.lines, c.final_bound
+        );
+    }
 
     fn engine_for(data: &Dataset, n: u32) -> EtEngine<'_> {
         EtEngine::new(data, EtConfig::new(FetchSchedule::uniform(data.dtype(), n)))

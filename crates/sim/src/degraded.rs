@@ -18,7 +18,7 @@
 //! [`RecoveryReport`]), never accuracy. The integration tests in
 //! `tests/fault_recovery.rs` assert exactly that.
 
-use ansmet_core::EtEngine;
+use ansmet_core::{EtEngine, EtScratch};
 use ansmet_faults::{ComputeFault, FaultInjector, FaultKind, FaultPlan, FaultStats};
 use ansmet_host::RetryPolicy;
 use ansmet_index::{DistanceOracle, DistanceOutcome};
@@ -140,6 +140,7 @@ pub struct FaultyNdpOracle<'a> {
     loads: LoadTracker,
     strikes: Vec<u32>,
     report: RecoveryReport,
+    scratch: EtScratch,
 }
 
 impl<'a> FaultyNdpOracle<'a> {
@@ -165,6 +166,7 @@ impl<'a> FaultyNdpOracle<'a> {
             loads: LoadTracker::new(groups * partitioner.group_size(), partitioner.group_size()),
             strikes: vec![0; groups],
             report: RecoveryReport::default(),
+            scratch: EtScratch::new(),
         }
     }
 
@@ -282,7 +284,9 @@ impl DistanceOracle for FaultyNdpOracle<'_> {
         // What the healthy unit computes: the engine *is* the model of
         // the rank-side distance pipeline, so the value below is what a
         // fault-free run would return for this comparison.
-        let cost = self.engine.evaluate(id, query, threshold);
+        let cost = self
+            .engine
+            .evaluate_with(id, query, threshold, &mut self.scratch);
         let value = cost.effective_distance().unwrap_or(RESULT_INVALID);
         let lines = cost.total_lines() as u64;
 
